@@ -1,11 +1,13 @@
 """Throughput benchmark: threaded native kernels vs per-trial sequential.
 
 The acceptance scale is ``R = 4096`` replicas and ``n = 1024`` bins for the
-compiled kernels.  Per-trial sequential execution is embarrassingly linear
-in the replica count, so its baseline is *sampled* at a small replica count
-(``R = 64`` at full scale) and extrapolated linearly — timing 4096 Python
-replicas directly would add minutes of wall clock without changing the
-answer.
+compiled kernels.  The sequential baseline runs the single-replica
+reference simulators (``RepeatedBallsIntoBins``, ``DChoicesProcess``,
+``FaultyProcess``, ``ConstrainedParallelWalks``) back to back, one
+replica after another.  That is embarrassingly linear in the replica
+count, so the baseline is *sampled* at a small replica count (``R = 64``
+at full scale) and extrapolated linearly — timing 4096 Python replicas
+directly would add minutes of wall clock without changing the answer.
 
 Scenarios:
 
@@ -64,12 +66,20 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List
 
+import numpy as np
+
+from repro.adversary.faulty_process import FaultyProcess
+from repro.baselines.d_choices import DChoicesProcess
+from repro.core.config import LoadConfiguration
 from repro.core.native import (
     available_cpu_count,
     native_available,
     native_status,
     native_threading,
 )
+from repro.core.process import RepeatedBallsIntoBins
+from repro.graphs.generators import resolve_topology
+from repro.graphs.walks import ConstrainedParallelWalks
 from repro.parallel.ensemble import EnsembleSpec, run_ensemble
 
 N_BINS = 1024
@@ -244,9 +254,36 @@ def _timed_hand_segmented(scale: Scale, n_replicas: int, kernel: str) -> float:
     return max(time.perf_counter() - start, 1e-9)
 
 
-def _timed(spec: EnsembleSpec, engine: str, kernel: str = "auto") -> float:
+def _timed_reference(scale: Scale, n_replicas: int, process: str) -> float:
+    """``n_replicas`` back-to-back runs of the single-replica reference simulator."""
+    spec = _spec(scale, 1, process)
+    rng = np.random.default_rng(SEED)
     start = time.perf_counter()
-    result = run_ensemble(spec, seed=SEED, engine=engine, kernel=kernel)
+    for _ in range(n_replicas):
+        initial = LoadConfiguration.balanced(N_BINS)
+        if process == "d_choices":
+            simulator = DChoicesProcess(N_BINS, d=spec.d, initial=initial, seed=rng)
+        elif process == "faulty":
+            simulator = FaultyProcess(
+                N_BINS,
+                adversary=spec.adversary,
+                schedule=spec.fault_schedule(),
+                initial=initial,
+                seed=rng,
+            )
+        elif process == "graph_walks":
+            simulator = ConstrainedParallelWalks(
+                resolve_topology(WALKS_TOPOLOGY), initial=initial, seed=rng
+            )
+        else:
+            simulator = RepeatedBallsIntoBins(N_BINS, initial=initial, seed=rng)
+        simulator.run(spec.rounds)
+    return max(time.perf_counter() - start, 1e-9)
+
+
+def _timed(spec: EnsembleSpec, kernel: str = "auto") -> float:
+    start = time.perf_counter()
+    result = run_ensemble(spec, seed=SEED, kernel=kernel)
     elapsed = time.perf_counter() - start
     assert result.n_replicas == spec.n_replicas
     assert (result.rounds == spec.rounds).all()
@@ -274,7 +311,7 @@ def measure(scale: Scale = FULL) -> Dict[str, dict]:
 
     def baseline(process: str, rounds: int) -> float:
         """Per-replica sequential seconds, from a small sampled run."""
-        sample = _timed(_spec(scale, base_R, process), "sequential")
+        sample = _timed_reference(scale, base_R, process)
         cases[f"{process}_sequential_baseline"] = _case(
             sample, base_R, rounds, 1.0
         )
@@ -282,7 +319,7 @@ def measure(scale: Scale = FULL) -> Dict[str, dict]:
 
     # --- repeated balls-into-bins -----------------------------------
     seq_per_replica = baseline("rbb", scale.rounds)
-    npy = _timed(_spec(scale, scale.numpy_replicas), "batched", "numpy")
+    npy = _timed(_spec(scale, scale.numpy_replicas), "numpy")
     cases["rbb_numpy"] = _case(
         npy,
         scale.numpy_replicas,
@@ -290,7 +327,7 @@ def measure(scale: Scale = FULL) -> Dict[str, dict]:
         seq_per_replica * scale.numpy_replicas / npy,
     )
     if native_available():
-        nat = _timed(_spec(scale, scale.native_replicas), "batched", "native")
+        nat = _timed(_spec(scale, scale.native_replicas), "native")
         cases["rbb_native"] = _case(
             nat,
             scale.native_replicas,
@@ -298,9 +335,7 @@ def measure(scale: Scale = FULL) -> Dict[str, dict]:
             seq_per_replica * scale.native_replicas / nat,
         )
         obs = _timed(
-            _spec(scale, scale.native_replicas, "rbb_observed"),
-            "batched",
-            "native",
+            _spec(scale, scale.native_replicas, "rbb_observed"), "native"
         )
         cases["rbb_native_observed"] = _case(
             obs,
@@ -311,9 +346,7 @@ def measure(scale: Scale = FULL) -> Dict[str, dict]:
 
     # --- Greedy[2] (numpy-only) -------------------------------------
     d_per_replica = baseline("d_choices", scale.dchoices_rounds)
-    db = _timed(
-        _spec(scale, scale.native_replicas, "d_choices"), "batched"
-    )
+    db = _timed(_spec(scale, scale.native_replicas, "d_choices"))
     cases["greedy2_batched"] = _case(
         db,
         scale.native_replicas,
@@ -323,7 +356,7 @@ def measure(scale: Scale = FULL) -> Dict[str, dict]:
 
     # --- adversarial -------------------------------------------------
     f_per_replica = baseline("faulty", scale.faulty_rounds)
-    fb = _timed(_spec(scale, scale.native_replicas, "faulty"), "batched")
+    fb = _timed(_spec(scale, scale.native_replicas, "faulty"))
     cases["adversarial_batched"] = _case(
         fb,
         scale.native_replicas,
@@ -333,9 +366,7 @@ def measure(scale: Scale = FULL) -> Dict[str, dict]:
 
     # --- graph walks -------------------------------------------------
     w_per_replica = baseline("graph_walks", scale.walks_rounds)
-    wn = _timed(
-        _spec(scale, scale.numpy_replicas, "graph_walks"), "batched", "numpy"
-    )
+    wn = _timed(_spec(scale, scale.numpy_replicas, "graph_walks"), "numpy")
     cases["walks_numpy"] = _case(
         wn,
         scale.numpy_replicas,
@@ -344,9 +375,7 @@ def measure(scale: Scale = FULL) -> Dict[str, dict]:
     )
     if native_available("walks"):
         wnat = _timed(
-            _spec(scale, scale.native_replicas, "graph_walks"),
-            "batched",
-            "native",
+            _spec(scale, scale.native_replicas, "graph_walks"), "native"
         )
         cases["walks_native"] = _case(
             wnat,
@@ -367,7 +396,7 @@ def measure(scale: Scale = FULL) -> Dict[str, dict]:
     for _ in range(5 if scale.enforce else 2):
         hand_times.append(_timed_hand_segmented(scale, scen_R, kernel))
         scen_times.append(
-            _timed(_spec(scale, scen_R, "scenario"), "batched", kernel)
+            _timed(_spec(scale, scen_R, "scenario"), kernel)
         )
     hand, scen = min(hand_times), min(scen_times)
     cases["scenario_hand_segmented"] = _case(hand, scen_R, scale.rounds, 1.0)

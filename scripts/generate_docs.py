@@ -1,15 +1,27 @@
 #!/usr/bin/env python3
-"""Render ``docs/EXPERIMENTS.md`` from the experiment registry.
+"""Render the generated documents under ``docs/`` from the live code.
 
-The catalog is *generated*: every registered experiment contributes its id,
-claim, expected shape, default parameters, report-scale overrides, and
-engine support, so the document can never drift from the code — CI runs
-``--check`` and fails when the checked-in file is stale.
+Three documents are *generated*, so they can never drift from what the
+code registers or enforces:
+
+``EXPERIMENTS.md``
+    The experiment catalog: every registered experiment's id, claim,
+    expected shape, default parameters and report-scale overrides, plus
+    the process families and the sweep-generated families.
+``VERIFICATION.md``
+    The conformance matrix: every :class:`repro.verify.ConformanceCase`
+    with its engine coordinate, process, size, horizons and exact ground
+    truth (:func:`repro.verify.render_verification_doc`).
+``STATIC_ANALYSIS.md``
+    The lint rule table, checked C symbol table and sanitizer matrix
+    (:func:`repro.lint.doc.render_static_analysis_doc`).
+
+CI runs ``--check``, which fails when any checked-in file is stale.
 
 Usage::
 
-    python scripts/generate_experiment_catalog.py           # rewrite the catalog
-    python scripts/generate_experiment_catalog.py --check   # fail if stale
+    python scripts/generate_docs.py           # rewrite all three documents
+    python scripts/generate_docs.py --check   # fail if any is stale
 """
 
 from __future__ import annotations
@@ -24,25 +36,27 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from repro.experiments import registry  # noqa: E402
 from repro.experiments.report import report_scale_params  # noqa: E402
+from repro.lint.doc import render_static_analysis_doc  # noqa: E402
 from repro.parallel.ensemble import PROCESSES  # noqa: E402
 from repro.sweeps import available_sweeps, expand_sweep, get_sweep  # noqa: E402
+from repro.verify import render_verification_doc  # noqa: E402
 
-CATALOG_PATH = ROOT / "docs" / "EXPERIMENTS.md"
+DOCS_DIR = ROOT / "docs"
 
-HEADER = """\
+CATALOG_HEADER = """\
 # Experiment catalog
 
 <!-- GENERATED FILE — do not edit by hand.
-     Regenerate with: python scripts/generate_experiment_catalog.py
+     Regenerate with: python scripts/generate_docs.py
      CI fails when this file is stale (--check). -->
 
 Every quantitative claim of the paper is registered as an experiment; this
 catalog is rendered from that registry
-(`repro.experiments.registry`), so ids, parameters, and engine support are
-always in sync with the code.  Run any experiment with:
+(`repro.experiments.registry`), so ids and parameters are always in sync
+with the code.  Run any experiment with:
 
 ```bash
-PYTHONPATH=src python -m repro run <ID> [-p KEY=VALUE ...] [--engine batched|sequential]
+PYTHONPATH=src python -m repro run <ID> [-p KEY=VALUE ...]
 ```
 
 `python -m repro report` runs experiments at *report scale* (the overrides
@@ -51,36 +65,21 @@ documents what exists, not one run's numbers.
 """
 
 
-def _engine_support(spec) -> str:
-    if "engine" in spec.default_params:
-        return (
-            "batched & sequential (`--engine` / `-p engine=...`; "
-            f"default `{spec.default_params['engine']}`)"
-        )
-    return "per-trial only (no `engine` parameter)"
-
-
 def _format_value(value) -> str:
     return f"`{value!r}`"
 
 
 def render_catalog() -> str:
+    """The full contents of ``docs/EXPERIMENTS.md``."""
     out = io.StringIO()
-    out.write(HEADER)
+    out.write(CATALOG_HEADER)
     ids = registry.all_ids()
     out.write("\n## Index\n\n")
-    out.write("| id | claim | title | engines |\n")
-    out.write("|---|---|---|---|\n")
+    out.write("| id | claim | title |\n")
+    out.write("|---|---|---|\n")
     for experiment_id in ids:
         spec = registry.get(experiment_id).spec
-        engines = (
-            "batched, sequential"
-            if "engine" in spec.default_params
-            else "per-trial"
-        )
-        out.write(
-            f"| {spec.experiment_id} | {spec.claim} | {spec.title} | {engines} |\n"
-        )
+        out.write(f"| {spec.experiment_id} | {spec.claim} | {spec.title} |\n")
 
     for experiment_id in ids:
         spec = registry.get(experiment_id).spec
@@ -88,7 +87,6 @@ def render_catalog() -> str:
         out.write(f"- **Claim:** {spec.claim}\n")
         if spec.expected_shape:
             out.write(f"- **Expected shape:** {spec.expected_shape}\n")
-        out.write(f"- **Engine support:** {_engine_support(spec)}\n")
         out.write("\n### Default parameters\n\n")
         out.write("| parameter | default |\n")
         out.write("|---|---|\n")
@@ -136,41 +134,44 @@ def render_catalog() -> str:
     return out.getvalue()
 
 
+#: Document file name -> renderer.
+RENDERERS = {
+    "EXPERIMENTS.md": render_catalog,
+    "VERIFICATION.md": render_verification_doc,
+    "STATIC_ANALYSIS.md": render_static_analysis_doc,
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--check",
         action="store_true",
-        help="exit non-zero when the checked-in catalog differs from the "
+        help="exit non-zero when a checked-in document differs from the "
         "rendered one (used by CI)",
     )
     parser.add_argument(
-        "--out",
-        default=str(CATALOG_PATH),
-        help=f"output path (default {CATALOG_PATH})",
+        "--docs-dir",
+        default=str(DOCS_DIR),
+        help=f"directory holding the documents (default {DOCS_DIR})",
     )
     args = parser.parse_args(argv)
 
-    rendered = render_catalog()
-    target = Path(args.out)
-    if args.check:
-        if not target.exists():
-            print(f"STALE: {target} does not exist; regenerate with "
-                  f"`python {Path(__file__).relative_to(ROOT)}`")
-            return 1
-        current = target.read_text()
-        if current != rendered:
-            print(
-                f"STALE: {target} does not match the experiment registry; "
-                f"regenerate with `python {Path(__file__).relative_to(ROOT)}`"
-            )
-            return 1
-        print(f"{target} is up to date")
-        return 0
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(rendered)
-    print(f"wrote {target}")
-    return 0
+    docs_dir = Path(args.docs_dir)
+    stale = 0
+    for name, render in RENDERERS.items():
+        rendered = render()
+        target = docs_dir / name
+        if not args.check:
+            docs_dir.mkdir(parents=True, exist_ok=True)
+            target.write_text(rendered)
+            print(f"wrote {target}")
+        elif not target.exists() or target.read_text() != rendered:
+            print(f"STALE: {target}; regenerate with `python scripts/generate_docs.py`")
+            stale += 1
+        else:
+            print(f"{target} is up to date")
+    return 1 if stale else 0
 
 
 if __name__ == "__main__":

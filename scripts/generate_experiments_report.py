@@ -28,16 +28,10 @@ def main() -> int:
     parser.add_argument("--out", default="EXPERIMENTS.md", help="output path")
     parser.add_argument("--seed", type=int, default=0, help="root seed")
     parser.add_argument("--only", nargs="*", default=None, help="subset of experiment ids")
-    parser.add_argument(
-        "--engine",
-        choices=["batched", "sequential"],
-        default=None,
-        help="Monte-Carlo engine for the ensemble experiments",
-    )
     args = parser.parse_args()
 
     report = generate_full_report(
-        experiment_ids=args.only, seed=args.seed, preamble=PREAMBLE, engine=args.engine
+        experiment_ids=args.only, seed=args.seed, preamble=PREAMBLE
     )
     Path(args.out).write_text(report)
     print(f"wrote {args.out} ({len(report.splitlines())} lines)")

@@ -18,9 +18,9 @@ import numpy as np
 
 from .adversaries import Adversary, get_adversary
 from ..core.config import DEFAULT_BETA, LoadConfiguration, legitimacy_threshold
-from ..core.observers import ObserverList
 from ..core.process import RepeatedBallsIntoBins
 from ..errors import ConfigurationError
+from ..metrics.base import BatchedObserverList
 from ..rng import as_generator
 from ..types import SeedLike
 
@@ -183,7 +183,7 @@ class FaultyProcess:
         """
         if rounds < 0:
             raise ConfigurationError(f"rounds must be >= 0, got {rounds}")
-        obs = ObserverList.coerce(observers)
+        obs = BatchedObserverList.coerce(observers)
         process = self._process
         n = process.n_bins
         threshold = legitimacy_threshold(n, beta)

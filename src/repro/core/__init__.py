@@ -5,8 +5,8 @@ subject), the batched ensemble engine that simulates R replicas of it as a
 single vectorized ``(R, n)`` state (with an optional compiled native
 kernel), the auxiliary Tetris process used in its analysis, the coupling
 between the two (Lemma 3), the identity-tracking token-level variant used
-for traversal/cover-time experiments (Section 4), and the metric/observer
-machinery shared by all of them.
+for traversal/cover-time experiments (Section 4), and the single-replica
+metric trackers.
 """
 
 from .batched import (
@@ -26,7 +26,6 @@ from .metrics import (
     MaxLoadTracker,
     TraceRecorder,
 )
-from .observers import ObserverList, CallbackObserver
 from .process import RepeatedBallsIntoBins, SimulationResult
 from .queueing import (
     FIFODiscipline,
@@ -68,6 +67,4 @@ __all__ = [
     "LegitimacyTracker",
     "LoadHistogramTracker",
     "TraceRecorder",
-    "ObserverList",
-    "CallbackObserver",
 ]

@@ -495,10 +495,9 @@ class BatchedLoadProcess:
     def rng(self) -> np.random.Generator:
         """The process' generator — the stream between-segment edits draw from.
 
-        The scenario interpreter applies its state edits with this stream
-        so that an ``R == 1`` scenario run through the numpy kernel stays
-        stream-equal to the sequential engine (which passes the very same
-        generator object through its rebuilds).
+        The scenario interpreter applies its state edits with this stream,
+        so an ``R == 1`` scenario run through the numpy kernel is
+        stream-equal to the same program driven by hand on this process.
         """
         return self._rng
 
@@ -616,8 +615,7 @@ class BatchedLoadProcess:
         """Reference window loop; returns ``(max_seen, min_empty, kernel)``.
 
         Delegates to the shared implementation in
-        :func:`repro.metrics.window.run_window` — the same loop the
-        sequential ensemble engine runs through its ``R == 1`` view.
+        :func:`repro.metrics.window.run_window`.
         """
         max_seen, min_empty, _, _ = run_window(
             self,

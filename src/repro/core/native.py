@@ -37,9 +37,11 @@ reference implementations.
 Thread-count resolution (:func:`resolve_n_threads`) has the precedence
 explicit ``n_threads`` argument > ``REPRO_NATIVE_THREADS`` environment
 variable > available CPU count, clamped to the replica count and forced
-to 1 when the compiled kernel has no threading backend.  Results are
-bit-identical for every thread count, so this is purely a performance
-knob.
+to 1 when the compiled kernel has no threading backend.  A run sharded
+across worker processes asks :func:`shard_n_threads` for its per-shard
+default instead, which keeps the environment variable first and splits
+the CPU count between the shards.  Results are bit-identical for every
+thread count, so this is purely a performance knob.
 
 Sanitizer builds (``REPRO_SANITIZE=asan|ubsan|tsan``) compile every flag
 variant with the matching ``-fsanitize=...`` flags appended (and
@@ -78,6 +80,8 @@ __all__ = [
     "native_status",
     "native_threading",
     "resolve_n_threads",
+    "requested_n_threads",
+    "shard_n_threads",
     "available_cpu_count",
     "sanitize_mode",
     "kernel_abi",
@@ -479,12 +483,56 @@ def native_threading(kernel: str = "rbb") -> str:
     return _resolve(kernel).threading
 
 
+#: Whether this process has launched an OpenMP kernel on more than one
+#: thread, and whether it was forked from one that had.  GNU libgomp's
+#: worker pool does not survive ``fork()``: a forked child (a process-pool
+#: shard) entering a multi-threaded parallel region again deadlocks, so
+#: such a child runs its OpenMP kernels on one thread.
+_openmp_pool_started = False
+_openmp_pool_inherited = False
+
+
+def _after_fork_in_child() -> None:
+    global _openmp_pool_inherited
+    _openmp_pool_inherited = _openmp_pool_inherited or _openmp_pool_started
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_after_fork_in_child)
+
+
 def available_cpu_count() -> int:
     """CPUs this process may use (affinity-aware where supported)."""
     try:
         return len(os.sched_getaffinity(0)) or 1
     except AttributeError:  # non-Linux
         return os.cpu_count() or 1
+
+
+def requested_n_threads() -> Optional[int]:
+    """The ``REPRO_NATIVE_THREADS`` override, or ``None`` when it is unset."""
+    env = os.environ.get("REPRO_NATIVE_THREADS", "").strip()
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise ConfigurationError(
+            f"REPRO_NATIVE_THREADS must be an integer, got {env!r}"
+        ) from None
+
+
+def shard_n_threads(n_shards: int) -> int:
+    """Default native threads per shard when a run uses ``n_shards`` processes.
+
+    ``REPRO_NATIVE_THREADS`` wins; otherwise the available CPUs are split
+    between the shards so shard processes and kernel threads do not
+    oversubscribe the machine.
+    """
+    requested = requested_n_threads()
+    if requested is not None:
+        return requested
+    return max(1, available_cpu_count() // max(int(n_shards), 1))
 
 
 def resolve_n_threads(
@@ -498,26 +546,27 @@ def resolve_n_threads(
     ``REPRO_NATIVE_THREADS`` environment variable, then the available
     CPU count.  The result is clamped to ``n_replicas`` (extra threads
     would only idle) and forced to 1 when the compiled kernel has no
-    threading backend.  Thread count never changes results — replicas
-    own disjoint state and RNG streams — so this is a pure performance
-    knob and is deliberately *not* part of :class:`EnsembleSpec`.
+    threading backend, or when it is OpenMP and this process was forked
+    from one whose OpenMP worker pool had started.  Thread count never
+    changes results — replicas own disjoint state and RNG streams — so
+    this is a pure performance knob and is deliberately *not* part of
+    :class:`EnsembleSpec`.
     """
+    global _openmp_pool_started
     if n_threads is None:
-        env = os.environ.get("REPRO_NATIVE_THREADS", "").strip()
-        if env:
-            try:
-                n_threads = int(env)
-            except ValueError:
-                raise ConfigurationError(
-                    f"REPRO_NATIVE_THREADS must be an integer, got {env!r}"
-                ) from None
-        else:
-            n_threads = available_cpu_count()
+        n_threads = requested_n_threads()
+    if n_threads is None:
+        n_threads = available_cpu_count()
     n_threads = int(n_threads)
     if n_threads < 1:
         raise ConfigurationError(f"n_threads must be >= 1, got {n_threads}")
-    if native_threading(kernel) in ("serial", "unavailable"):
+    threading = native_threading(kernel)
+    if threading in ("serial", "unavailable") or (
+        threading == "openmp" and _openmp_pool_inherited
+    ):
         n_threads = 1
     if n_replicas is not None:
         n_threads = min(n_threads, max(int(n_replicas), 1))
+    if threading == "openmp" and n_threads > 1:
+        _openmp_pool_started = True
     return n_threads

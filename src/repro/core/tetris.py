@@ -28,8 +28,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .config import DEFAULT_BETA, LoadConfiguration, legitimacy_threshold
-from .observers import ObserverList
 from ..errors import ConfigurationError
+from ..metrics.base import BatchedObserverList
 from ..rng import as_generator
 from ..types import LoadVector, SeedLike
 
@@ -161,7 +161,7 @@ class TetrisProcess:
         """Simulate ``rounds`` rounds and collect the Lemma 4 / Lemma 6 metrics."""
         if rounds < 0:
             raise ConfigurationError(f"rounds must be >= 0, got {rounds}")
-        obs = ObserverList.coerce(observers)
+        obs = BatchedObserverList.coerce(observers)
 
         max_load_seen = 0
         first_empty = np.where(self._loads == 0, 0, -1).astype(np.int64)

@@ -4,9 +4,8 @@ Every function in this module has the registry runner signature
 ``runner(spec, params, seed) -> ExperimentResult``.  The pure load-vector
 ensembles (E1 stability, E2 convergence, E3 empty bins) are expressed as
 :class:`~repro.parallel.ensemble.EnsembleSpec` and routed through
-:func:`~repro.parallel.ensemble.run_ensemble`, so an ``engine`` parameter
-switches them between the batched ``(R, n)`` engine and the legacy
-per-trial sequential path without changing the result schema.
+:func:`~repro.parallel.ensemble.run_ensemble`, the batched ``(R, n)``
+engine.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ def run_e1_stability(spec: ExperimentSpec, params: Dict[str, Any], seed) -> Expe
     trials = params["trials"]
     rounds_factor = params["rounds_factor"]
     n_workers = params["n_workers"]
-    engine = params["engine"]
 
     window_maxima = []
     for n in sizes:
@@ -57,7 +55,6 @@ def run_e1_stability(spec: ExperimentSpec, params: Dict[str, Any], seed) -> Expe
                 n_bins=n, n_replicas=trials, rounds=rounds, start="random_uniform"
             ),
             seed=seed,
-            engine=engine,
             n_workers=n_workers,
         )
         maxima = ensemble.max_load_seen.astype(float)
@@ -95,7 +92,6 @@ def run_e2_convergence(spec: ExperimentSpec, params: Dict[str, Any], seed) -> Ex
     trials = params["trials"]
     budget_factor = params["budget_factor"]
     n_workers = params["n_workers"]
-    engine = params["engine"]
 
     mean_times = []
     for n in sizes:
@@ -109,7 +105,6 @@ def run_e2_convergence(spec: ExperimentSpec, params: Dict[str, Any], seed) -> Ex
                 stop_when_legitimate=True,
             ),
             seed=seed,
-            engine=engine,
             n_workers=n_workers,
         )
         times = ensemble.first_legitimate_round.astype(float)
@@ -146,7 +141,6 @@ def run_e3_empty_bins(spec: ExperimentSpec, params: Dict[str, Any], seed) -> Exp
     sizes = params["sizes"]
     trials = params["trials"]
     rounds_factor = params["rounds_factor"]
-    engine = params["engine"]
     # observation cadence for the empty-bins series: min_empty (the Lemma 2
     # event) stays engine-exact at any stride, so the default thins the
     # auxiliary mean_empty_fraction series rather than segmenting the
@@ -170,13 +164,11 @@ def run_e3_empty_bins(spec: ExperimentSpec, params: Dict[str, Any], seed) -> Exp
                     start=start_name,
                     warmup_rounds=1,
                     # observe the empty-bin trajectory through the unified
-                    # metrics layer (both engines attach the same tracker),
-                    # not just the window minimum
+                    # metrics layer, not just the window minimum
                     metrics="empty_bins",
                     observe_every=observe_every,
                 ),
                 seed=seed_children[point],
-                engine=engine,
             )
             point += 1
             min_empty = ensemble.min_empty_bins_seen

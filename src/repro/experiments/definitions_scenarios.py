@@ -40,7 +40,6 @@ E17_SPEC = ExperimentSpec(
             "staged_adversary:switch=129,every=32,until=192",
         ],
         "observe_every": 16,
-        "engine": "batched",
     },
     expected_shape=(
         "window max spikes with each disruption but final max load and "
@@ -64,7 +63,6 @@ def run_e17_scenarios(
     n = int(params["n"])
     trials = int(params["trials"])
     rounds = int(params["rounds"])
-    engine = params["engine"]
     log_n = max(math.log(n), 1.0)
 
     for entry in params["scenarios"]:
@@ -80,7 +78,6 @@ def run_e17_scenarios(
                 observe_every=int(params["observe_every"]),
             ),
             seed=seed,
-            engine=engine,
         )
         label = "none" if scenario is None else resolve_scenario(entry).name or "inline"
         n_events = (

@@ -70,7 +70,6 @@ register(
             "trials": 10,
             "rounds_factor": 4.0,
             "n_workers": 0,
-            "engine": "batched",
         },
         expected_shape="window max load grows ~ c*log n with c in [1, 4]; flat in the window length",
     ),
@@ -87,7 +86,6 @@ register(
             "trials": 10,
             "budget_factor": 20.0,
             "n_workers": 0,
-            "engine": "batched",
         },
         expected_shape="convergence time from the all-in-one start fits a power law with exponent ~1",
     ),
@@ -103,7 +101,6 @@ register(
             "sizes": [64, 256, 1024],
             "trials": 10,
             "rounds_factor": 4.0,
-            "engine": "batched",
             "observe_every": 4,
         },
         expected_shape="worst per-trial empty fraction stays above 0.25",
@@ -198,7 +195,6 @@ register(
             "trials": 5,
             "rounds_factor": 30.0,
             "adversary": "concentrate",
-            "engine": "batched",
         },
         expected_shape="recovery takes O(n) rounds, a small fraction of the fault period for gamma >= 6",
     ),
@@ -214,7 +210,6 @@ register(
             "sizes": [64, 256, 1024, 4096],
             "trials": 10,
             "window_factor": 1.0,
-            "engine": "batched",
         },
         expected_shape="one-shot max tracks log n/log log n; repeated window max tracks log n (larger)",
     ),
@@ -230,7 +225,6 @@ register(
             "n": 256,
             "window_factors": [1, 4, 16, 64],
             "trials": 5,
-            "engine": "batched",
         },
         expected_shape="repeated process stays ~log n as the window grows; zero-drift surrogate keeps growing",
     ),
@@ -247,7 +241,6 @@ register(
             "ratios": [0.5, 1.0, 2.0, 4.0],
             "trials": 5,
             "rounds_factor": 4.0,
-            "engine": "batched",
         },
         expected_shape="stability persists for m <= n; excess load grows with m/n beyond m = n",
     ),
@@ -317,7 +310,6 @@ register(
             "trials": 4,
             "rounds_factor": 2.0,
             "observe_every": 8,
-            "engine": "batched",
         },
         expected_shape=(
             "expanding topologies stay near log n; ring/torus accumulate more; "
@@ -355,7 +347,6 @@ register(
             "d_values": [1, 2, 4],
             "trials": 8,
             "rounds_factor": 1.0,
-            "engine": "batched",
         },
         expected_shape="window max decreases only additively with d; every d stays ~log n",
     ),

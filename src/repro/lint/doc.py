@@ -5,8 +5,8 @@ The document is *generated*: the rule table comes from
 :func:`repro.core.native.kernel_abi`, and the sanitizer matrix from
 :data:`repro.core.native.SANITIZE_MODES` plus the variant ladder — so
 prose can never drift from what the tools actually enforce.  CI runs
-``scripts/generate_static_analysis_doc.py --check`` and fails when the
-checked-in file is stale.
+``scripts/generate_docs.py --check`` and fails when the checked-in file
+is stale.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ __all__ = ["render_static_analysis_doc"]
 _HEADER = """\
 # Static analysis
 
-<!-- Generated by scripts/generate_static_analysis_doc.py -- do not edit
+<!-- Generated by scripts/generate_docs.py -- do not edit
      by hand; rerun the generator instead (CI checks staleness). -->
 
 Three layers of static checking run in CI on every push, on top of the

@@ -3,10 +3,11 @@
 The paper's claims are statements about *trajectories* — the max-load
 window ``M(t)`` of Theorem 1, the per-round empty-bin counts of
 Lemmas 1–2, legitimacy hitting times — so observation must not be a
-privilege of the slow sequential path.  This package defines one observer
-pipeline that the sequential simulators, the batched ``(R, n)`` engines
-(including the native C kernel, which executes in segments between
-observation points), and the sweep scheduler all share:
+privilege of a slow single-replica path.  This package defines one
+observer pipeline that the single-replica simulators, the batched
+``(R, n)`` engines (including the native C kernel, which observes in-kernel
+or executes in segments between observation points), and the sweep
+scheduler all share:
 
 ``process → observers → reducers → store``
 
@@ -17,8 +18,8 @@ observation points), and the sweep scheduler all share:
 * :mod:`~repro.metrics.trackers` — replica-aware ports of the six
   sequential trackers, reducing as they observe (memory ``O(R)``, not
   ``O(R·T)``, when series recording is off).
-* :mod:`~repro.metrics.window` — the shared window-metric run loop that
-  replaced the three hand-rolled copies in the engines.
+* :mod:`~repro.metrics.window` — the shared window-metric run loop of
+  the batched numpy path.
 * :mod:`~repro.metrics.payload` / :mod:`~repro.metrics.registry` — the
   containers and validated names through which ``EnsembleSpec.metrics``
   requests observation and results carry it.
@@ -54,7 +55,7 @@ from .trackers import (
     BatchedMaxLoadTracker,
     BatchedTraceRecorder,
 )
-from .window import SingleReplicaView, run_replica_window, run_window
+from .window import run_window
 from ..core.metrics import (
     BinEmptyingTracker,
     EmptyBinsTracker,
@@ -93,8 +94,6 @@ __all__ = [
     "BinEmptyingTracker",
     # shared window loop
     "run_window",
-    "run_replica_window",
-    "SingleReplicaView",
     # payloads + registry
     "MetricPayload",
     "concatenate_payload_maps",

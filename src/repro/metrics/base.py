@@ -1,14 +1,15 @@
 """Observer plumbing for the unified (replica-aware) observation layer.
 
-Every engine in the repository — the sequential simulators, the batched
-``(R, n)`` processes, and the sweep scheduler on top of them — reports its
-state through one protocol: ``observer.observe(round_index, loads)`` where
-``loads`` is an ``(R, n)`` load matrix.  The sequential observer protocol of
-:mod:`repro.core.observers` is the ``R == 1`` view of this one: the helpers
-here normalize a 1-D load vector into a ``(1, n)`` matrix, so the batched
+Every simulator in the repository — the single-replica reference
+simulators, the batched ``(R, n)`` processes, and the sweep scheduler on
+top of them — reports its state through one protocol:
+``observer.observe(round_index, loads)`` where ``loads`` is an ``(R, n)``
+load matrix, or a 1-D load vector as the ``R == 1`` view.  Every
+simulator holds one :class:`BatchedObserverList`; the helpers here
+normalize a 1-D load vector into a ``(1, n)`` matrix, so the batched
 trackers in :mod:`repro.metrics.trackers` can be attached unchanged to a
-sequential simulator, and :func:`as_batched` adapts a legacy sequential
-observer to a batched ``R == 1`` run.
+single-replica simulator, and :func:`as_batched` adapts a single-replica
+:mod:`repro.core.metrics` tracker to a batched ``R == 1`` run.
 
 Observers must treat the arrays they receive as read-only (the engines pass
 views of their internal buffers for efficiency).

@@ -1,24 +1,22 @@
-"""Engine selection for Monte-Carlo ensembles of the paper's processes.
+"""Monte-Carlo ensembles of the paper's processes.
 
 This module is the single entry point experiments use to run "R independent
 replicas" workloads.  An :class:`EnsembleSpec` describes the ensemble
 declaratively (process family, size, start family, budget, early stop);
-:func:`run_ensemble` executes it through one of two engines:
+:func:`run_ensemble` executes it as one batched process (see
+:mod:`repro.core.batched`) that advances every replica per round with flat
+numpy kernels or, for the plain repeated balls-into-bins process and the
+graph walks, a compiled native kernel.  With ``n_workers > 1`` very large
+ensembles are *sharded*: each worker process simulates a contiguous slice
+of replicas with its own spawned seed and the shard results are
+concatenated.
 
-``engine="batched"`` (default)
-    One batched process (see :mod:`repro.core.batched`) advances every
-    replica per round with flat numpy kernels — or, for the plain repeated
-    balls-into-bins process, the compiled native kernel.  With
-    ``n_workers > 1`` very large ensembles are *sharded*: each worker
-    process simulates a contiguous slice of replicas with its own spawned
-    seed and the shard results are concatenated.
-``engine="sequential"``
-    The legacy per-trial path: each replica is an independent
-    single-replica process dispatched through
-    :class:`~repro.parallel.runner.TrialRunner` (and therefore through the
-    process pool when ``n_workers > 1``).  Kept for cross-checking the
-    batched engine and for workloads that are not pure load-vector
-    ensembles.
+The single-replica simulators (:class:`~repro.core.process.RepeatedBallsIntoBins`,
+:class:`~repro.baselines.d_choices.DChoicesProcess`,
+:class:`~repro.adversary.faulty_process.FaultyProcess`,
+:class:`~repro.graphs.walks.ConstrainedParallelWalks`) are not an engine
+here: they are the ``R == 1`` references the batched processes are tested
+stream-equal against.
 
 Four process families are supported through the ``process`` selector:
 
@@ -44,15 +42,10 @@ Four process families are supported through the ``process`` selector:
     topology is built once per worker and cached).  ``spec.constrained``
     selects the paper's one-token-per-node mode (default) or the
     every-token-moves comparison process.  Batched execution runs
-    :class:`~repro.graphs.batched.BatchedConstrainedWalks`; sequential
-    runs one :class:`~repro.graphs.walks.ConstrainedParallelWalks` per
-    trial, stream-equal to the batched engine at ``R == 1``.
+    :class:`~repro.graphs.batched.BatchedConstrainedWalks`.
 
-Both engines return the same :class:`~repro.core.batched.EnsembleResult`
-schema, so callers are engine-agnostic.  Results are deterministic for a
-fixed ``(seed, engine, n_workers, kernel)`` tuple; the two engines draw
-their randomness differently, so they agree in distribution rather than
-trajectory-for-trajectory.
+Results are deterministic for a fixed ``(seed, n_workers, kernel)``
+tuple.
 
 Time-varying workloads ride on the same surface: ``spec.scenario`` names a
 :mod:`repro.scenarios` schedule (a catalog name like
@@ -60,16 +53,14 @@ Time-varying workloads ride on the same surface: ``spec.scenario`` names a
 :class:`~repro.scenarios.spec.ScenarioSpec`).  The scenario compiler turns
 the window into engine segments with state edits (bursts, drains, bin
 churn, staged adversaries, topology rewiring, observation-stride changes)
-applied between them; both engines interpret the same compiled program, a
-scenario with no events is bit-identical to the plain static run, and the
-JSON-scalar spelling means sweeps over scenario parameters come free.
+applied between them; a scenario with no events is bit-identical to the
+plain static run, and the JSON-scalar spelling means sweeps over scenario
+parameters come free.
 
-Observation is unified across engines through :mod:`repro.metrics`:
-``spec.metrics`` names trackers (e.g. ``"max_load,legitimacy"``) that both
-engines attach through the shared observer pipeline — the batched engine
-passes them to the vectorized run loop (segmenting the native kernel every
-``spec.observe_every`` rounds), the sequential engine attaches the very
-same tracker objects to its ``R == 1`` runs — and the per-replica
+Observation goes through :mod:`repro.metrics`: ``spec.metrics`` names
+trackers (e.g. ``"max_load,legitimacy"``) that are passed to the
+vectorized run loop (the native kernel observes in-kernel or in
+``spec.observe_every``-round segments), and the per-replica
 series/summaries come back on ``EnsembleResult.metrics``.
 
 Example
@@ -85,7 +76,7 @@ Example
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -93,7 +84,7 @@ from .runner import TrialRunner
 from ..adversary.adversaries import get_adversary
 from ..adversary.batched import BatchedFaultyProcess
 from ..adversary.faulty_process import FaultSchedule
-from ..baselines.d_choices import BatchedDChoices, DChoicesProcess
+from ..baselines.d_choices import BatchedDChoices
 from ..core.batched import (
     BatchedLoadProcess,
     BatchedRepeatedBallsIntoBins,
@@ -101,30 +92,24 @@ from ..core.batched import (
     INITIAL_KINDS,
     make_ensemble_initial,
 )
-from ..core.config import DEFAULT_BETA, LoadConfiguration, legitimacy_threshold
-from ..core.native import available_cpu_count
-from ..core.process import RepeatedBallsIntoBins
+from ..core.config import DEFAULT_BETA, LoadConfiguration
+from ..core.native import shard_n_threads
 from ..errors import ConfigurationError
 from ..graphs.batched import BatchedConstrainedWalks
 from ..graphs.generators import parse_topology_spec, resolve_topology
-from ..graphs.walks import ConstrainedParallelWalks
-from ..metrics.payload import MetricPayload, concatenate_payload_maps
 from ..metrics.registry import build_trackers, normalize_metric_names
-from ..metrics.window import SingleReplicaView, run_replica_window, run_window
 from ..rng import as_seed_sequence
 from ..scenarios.catalog import resolve_scenario
-from ..scenarios.engine import (
-    compile_scenario,
-    run_scenario_batched,
-    run_scenario_sequential,
-)
+from ..scenarios.engine import compile_scenario, run_scenario_batched
 from ..scenarios.spec import ScenarioSpec
 from ..types import SeedLike
 
-__all__ = ["EnsembleSpec", "run_ensemble", "ENGINES", "PROCESSES"]
+__all__ = ["EnsembleSpec", "run_ensemble", "check_engine", "ENGINES", "PROCESSES"]
 
-#: Engine names accepted by :func:`run_ensemble` (``"auto"`` = batched).
-ENGINES = ("auto", "batched", "sequential")
+#: Engine names accepted by :func:`run_ensemble`; both select the batched
+#: engine.  The keyword remains because sweep store headers record the
+#: name as passed and replay it on resume.
+ENGINES = ("auto", "batched")
 
 #: Process families accepted by :class:`EnsembleSpec`.
 PROCESSES = ("rbb", "d_choices", "faulty", "graph_walks")
@@ -188,7 +173,7 @@ class EnsembleSpec:
         Observed metrics collected during the run, as validated names from
         :data:`repro.metrics.METRIC_NAMES` — a sequence, or a
         comma-separated string (the JSON-scalar spelling sweep specs use,
-        e.g. ``"max_load,legitimacy"``).  Both engines attach the
+        e.g. ``"max_load,legitimacy"``).  The engine attaches the
         corresponding batched trackers and the resulting per-replica
         series/summaries ride on ``EnsembleResult.metrics`` through
         aggregation, the store, and the CLI.  Empty by default (no
@@ -337,28 +322,10 @@ class EnsembleSpec:
         return FaultSchedule(period=self.fault_period, offset=self.fault_offset)
 
 
-def _replica_initial(
-    spec: EnsembleSpec, replica_index: int, seed: np.random.SeedSequence
-) -> Union[LoadConfiguration, np.ndarray]:
-    """The starting configuration of one replica (sequential engine)."""
-    start = spec.start
-    if isinstance(start, str):
-        if start == "random_uniform":
-            return LoadConfiguration.random_uniform(
-                spec.n_bins, n_balls=spec.n_balls, seed=np.random.default_rng(seed)
-            )
-        maker = getattr(LoadConfiguration, start)
-        return maker(spec.n_bins, n_balls=spec.n_balls)
-    if isinstance(start, LoadConfiguration):
-        return start
-    arr = np.asarray(start)
-    return arr[replica_index] if arr.ndim == 2 else arr
-
-
 def _shard_initial(
     spec: EnsembleSpec, lo: int, hi: int, seed: np.random.SeedSequence
 ) -> Union[LoadConfiguration, np.ndarray, None]:
-    """The ``(hi - lo, n)`` starting block of one shard (batched engine)."""
+    """The ``(hi - lo, n)`` starting block of one shard."""
     start = spec.start
     if isinstance(start, str):
         if start == "balanced" and spec.n_balls is None:
@@ -372,9 +339,6 @@ def _shard_initial(
     return arr[lo:hi] if arr.ndim == 2 else arr
 
 
-# ----------------------------------------------------------------------
-# Sequential engine (module-level trial functions: picklable for the pool)
-# ----------------------------------------------------------------------
 def _spec_trackers(spec: EnsembleSpec, n_replicas: int) -> List[tuple]:
     """The ``(name, tracker)`` pairs this spec's metric selection requests.
 
@@ -386,176 +350,6 @@ def _spec_trackers(spec: EnsembleSpec, n_replicas: int) -> List[tuple]:
     for _, tracker in trackers:
         tracker.bind(n_replicas, spec.n_bins)
     return trackers
-
-
-def _sequential_ensemble_trial(trial_index, seed, spec: EnsembleSpec) -> dict:
-    init_seq, sim_seq = seed.spawn(2)
-    initial = _replica_initial(spec, trial_index, init_seq)
-    rng = np.random.default_rng(sim_seq)
-    trackers = _spec_trackers(spec, n_replicas=1)
-    observers = [tracker for _, tracker in trackers] or None
-
-    if spec.process == "faulty":
-        record = _sequential_faulty_trial(spec, initial, rng, observers)
-    else:
-        if spec.process == "d_choices":
-            process = DChoicesProcess(
-                spec.n_bins, d=spec.d, initial=initial, seed=rng
-            )
-        elif spec.process == "graph_walks":
-            process = ConstrainedParallelWalks(
-                resolve_topology(spec.topology),
-                initial=initial,
-                constrained=spec.constrained,
-                seed=rng,
-            )
-        else:
-            process = RepeatedBallsIntoBins(
-                spec.n_bins, initial=initial, seed=rng
-            )
-        if spec.scenario is not None:
-            program = compile_scenario(
-                spec.resolved_scenario(), spec.rounds, spec.observe_every
-            )
-            record = run_scenario_sequential(
-                process,
-                program,
-                rng,
-                beta=spec.beta,
-                observers=observers,
-                rebuild=_sequential_rebuild_hook(spec, rng),
-            )
-        else:
-            record = run_replica_window(
-                process,
-                spec.rounds,
-                beta=spec.beta,
-                stop_when_legitimate=spec.stop_when_legitimate,
-                warmup_rounds=spec.warmup_rounds,
-                observers=observers,
-                observe_every=spec.observe_every,
-            )
-    record["metrics"] = {name: tracker.payload() for name, tracker in trackers}
-    return record
-
-
-def _sequential_rebuild_hook(spec: EnsembleSpec, rng: np.random.Generator):
-    """The scenario interpreter's process-rebuild callback (sequential).
-
-    The sequential simulators own their load vectors, so a state edit
-    rebuilds the process around the edited configuration.  None of the
-    constructors draws from the generator when an explicit ``initial`` is
-    given, and passing the *same* generator object continues the stream —
-    so a rebuild is invisible to the random trajectory.
-    """
-
-    def rebuild(process, loads, event):
-        if spec.process == "d_choices":
-            return DChoicesProcess(spec.n_bins, d=spec.d, initial=loads, seed=rng)
-        if spec.process == "graph_walks":
-            topology = (
-                resolve_topology(event.topology)
-                if event is not None
-                else process.topology
-            )
-            return ConstrainedParallelWalks(
-                topology,
-                initial=loads,
-                constrained=spec.constrained,
-                seed=rng,
-            )
-        return RepeatedBallsIntoBins(spec.n_bins, initial=loads, seed=rng)
-
-    return rebuild
-
-
-def _sequential_faulty_trial(
-    spec: EnsembleSpec, initial, rng, observers=None
-) -> dict:
-    """One replica of the faulty process through the shared window loop.
-
-    Mirrors :meth:`BatchedFaultyProcess.run` at ``R == 1``: the adversary
-    reassigns the configuration *before* the normal round executes
-    (``inject_loads``, so the round clock keeps running), the fault-free
-    stretches run as :func:`run_window` segments — the observation stride
-    restarts at each fault, exactly like the batched engine's segment
-    boundaries — and the window maximum includes post-fault
-    configurations.
-    """
-    process = RepeatedBallsIntoBins(spec.n_bins, initial=initial, seed=rng)
-    adversary = get_adversary(spec.adversary)
-    schedule = spec.fault_schedule()
-    threshold = legitimacy_threshold(spec.n_bins, spec.beta)
-    view = SingleReplicaView(process)
-    first_legit = np.full(1, -1, dtype=np.int64)
-    max_seen = process.max_load
-    min_empty = spec.n_bins
-
-    def run_segment(length: int) -> None:
-        nonlocal max_seen, min_empty
-        if length <= 0:
-            return
-        seg_max, seg_min, _, _ = run_window(
-            view,
-            length,
-            threshold,
-            first_legit=first_legit,
-            observers=observers,
-            observe_every=spec.observe_every,
-        )
-        max_seen = max(max_seen, int(seg_max[0]))
-        min_empty = min(min_empty, int(seg_min[0]))
-
-    previous = 1
-    for step in range(1, spec.rounds + 1):
-        if not schedule.is_faulty(step):
-            continue
-        run_segment(step - previous)
-        reassigned = adversary(process.loads, rng)
-        process.inject_loads(reassigned)
-        max_seen = max(max_seen, int(reassigned.max()))
-        previous = step
-    run_segment(spec.rounds - previous + 1)
-
-    return {
-        "rounds": spec.rounds,
-        "window_max_load": max_seen,
-        "min_empty_bins": min_empty if spec.rounds else process.num_empty_bins,
-        "first_legitimate_round": int(first_legit[0]),
-        "final_loads": np.array(process.loads, copy=True),
-    }
-
-
-def _run_sequential(
-    spec: EnsembleSpec, seed: SeedLike, n_workers: int
-) -> EnsembleResult:
-    runner = TrialRunner(n_workers=n_workers)
-    records = runner.run(
-        _sequential_ensemble_trial,
-        spec.n_replicas,
-        seed=seed,
-        kwargs={"spec": spec},
-    )
-    metrics: Dict[str, MetricPayload] = concatenate_payload_maps(
-        [record.pop("metrics", {}) for record in records]
-    )
-    return EnsembleResult(
-        n_bins=spec.n_bins,
-        rounds=np.asarray([r["rounds"] for r in records], dtype=np.int64),
-        final_loads=np.vstack([r["final_loads"] for r in records]),
-        max_load_seen=np.asarray(
-            [r["window_max_load"] for r in records], dtype=np.int64
-        ),
-        min_empty_bins_seen=np.asarray(
-            [r["min_empty_bins"] for r in records], dtype=np.int64
-        ),
-        first_legitimate_round=np.asarray(
-            [r["first_legitimate_round"] for r in records], dtype=np.int64
-        ),
-        beta=spec.beta,
-        kernel="sequential",
-        metrics=metrics,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -644,7 +438,7 @@ def _batched_ensemble_shard(
         else:
             if spec.warmup_rounds:
                 # metric tracking (and therefore observation) starts after
-                # the warm-up window, as for the sequential engine
+                # the warm-up window
                 batch.run(spec.warmup_rounds, beta=spec.beta)
             result = batch.run(
                 spec.rounds,
@@ -695,11 +489,7 @@ def _run_batched(
     runner = TrialRunner(n_workers=n_workers)
     n_shards = max(min(runner.effective_workers, spec.n_replicas), 1)
     if n_threads is None and n_shards > 1:
-        # Sharded run: split the machine between shards so shard-level
-        # processes and kernel-level threads do not oversubscribe cores.
-        # An explicit n_threads (argument or REPRO_NATIVE_THREADS, resolved
-        # inside the kernel launch) overrides this.
-        n_threads = max(1, available_cpu_count() // n_shards)
+        n_threads = shard_n_threads(n_shards)
     edges = np.linspace(0, spec.n_replicas, n_shards + 1).astype(int)
     bounds = [(int(edges[s]), int(edges[s + 1])) for s in range(n_shards)]
     shards = runner.run(
@@ -716,6 +506,25 @@ def _run_batched(
     return EnsembleResult.concatenate(shards)
 
 
+def check_engine(engine: str) -> None:
+    """Reject an engine name :func:`run_ensemble` does not accept.
+
+    ``"sequential"`` gets its own message: that engine was removed, and
+    its single-replica simulators remain only as ``R == 1`` references.
+    """
+    if engine == "sequential":
+        raise ConfigurationError(
+            "the sequential ensemble engine was removed; use engine='batched' "
+            "(results agree in distribution), or drive the single-replica "
+            "simulators RepeatedBallsIntoBins, DChoicesProcess, FaultyProcess "
+            "or ConstrainedParallelWalks directly"
+        )
+    if engine not in ENGINES:
+        raise ConfigurationError(
+            f"unknown engine {engine!r}; expected one of {ENGINES}"
+        )
+
+
 def run_ensemble(
     spec: EnsembleSpec,
     seed: SeedLike = None,
@@ -724,22 +533,20 @@ def run_ensemble(
     kernel: str = "auto",
     n_threads: Optional[int] = None,
 ) -> EnsembleResult:
-    """Run one ensemble through the selected engine.
+    """Run one ensemble through the batched engine.
 
     Parameters
     ----------
     spec:
         The declarative ensemble description (including the process family).
     seed:
-        Root seed; per-replica (sequential) or per-shard (batched) streams
-        are spawned from it, so results are reproducible for a fixed
-        engine configuration.
+        Root seed; per-shard streams are spawned from it, so results are
+        reproducible for a fixed ``(n_workers, kernel)`` configuration.
     engine:
-        ``"batched"``, ``"sequential"``, or ``"auto"`` (batched).
+        ``"batched"`` or ``"auto"`` (the same engine; see :data:`ENGINES`).
     n_workers:
-        ``0``/``1`` for in-process execution; ``> 1`` enables the process
-        pool — per-trial for the sequential engine, per-shard for the
-        batched engine.
+        ``0``/``1`` for in-process execution; ``> 1`` shards the replicas
+        across a process pool.
     kernel:
         Kernel selection forwarded to the batched repeated balls-into-bins
         engine (``"auto"``/``"numpy"``/``"native"``); the batched Greedy[d]
@@ -748,16 +555,8 @@ def run_ensemble(
         Native-kernel threads per shard (an execution knob like ``kernel``
         and ``n_workers``: results are bit-identical for every value).
         ``None`` defers to ``REPRO_NATIVE_THREADS`` and then to the visible
-        CPU count — except in sharded runs, where the default splits the
-        machine across shards to avoid oversubscription.
+        CPU count, which sharded runs split across their shards (see
+        :func:`repro.core.native.shard_n_threads`).
     """
-    if engine not in ENGINES:
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; expected one of {ENGINES}"
-        )
-    # normalize to a SeedSequence up front so both engines spawn from the
-    # same root entropy
-    root = as_seed_sequence(seed)
-    if engine == "sequential":
-        return _run_sequential(spec, root, n_workers)
-    return _run_batched(spec, root, n_workers, kernel, n_threads)
+    check_engine(engine)
+    return _run_batched(spec, as_seed_sequence(seed), n_workers, kernel, n_threads)

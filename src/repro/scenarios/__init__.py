@@ -7,11 +7,10 @@ spec (:mod:`repro.scenarios.spec`)
     validated schedule of events on the round clock (arrival bursts and
     drains, bin churn, staged adversaries, topology rewiring, observation
     stride changes).
-compiler + interpreters (:mod:`repro.scenarios.engine`)
+compiler + interpreter (:mod:`repro.scenarios.engine`)
     :func:`compile_scenario` flattens a scenario into engine segments and
-    state edits; :func:`run_scenario_batched` /
-    :func:`run_scenario_sequential` drive the existing engines between
-    event boundaries (native kernels run whole segments).
+    state edits; :func:`run_scenario_batched` drives the batched engine
+    between event boundaries (native kernels run whole segments).
 catalog (:mod:`repro.scenarios.catalog`)
     Named composite workloads (``burst_recovery``, ``bin_churn``,
     ``staged_adversary``) and :func:`resolve_scenario`, the entry point
@@ -36,7 +35,6 @@ from .engine import (
     ScenarioProgram,
     compile_scenario,
     run_scenario_batched,
-    run_scenario_sequential,
 )
 from .events import apply_event
 from .spec import CONSERVING_KINDS, EVENT_KINDS, ScenarioEvent, ScenarioSpec
@@ -51,7 +49,6 @@ __all__ = [
     "ScenarioProgram",
     "compile_scenario",
     "run_scenario_batched",
-    "run_scenario_sequential",
     "apply_event",
     "burst_recovery",
     "bin_churn",

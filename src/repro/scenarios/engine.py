@@ -1,4 +1,4 @@
-"""Scenario compiler + segment interpreters for both ensemble engines.
+"""Scenario compiler + segment interpreter for the ensemble engine.
 
 :func:`compile_scenario` turns a :class:`~repro.scenarios.spec.ScenarioSpec`
 plus a window (``rounds``, ``observe_every``) into a flat
@@ -47,10 +47,9 @@ import numpy as np
 from .events import apply_event
 from .spec import CONSERVING_KINDS, ScenarioEvent, ScenarioSpec
 from ..core.batched import EnsembleResult
-from ..core.config import DEFAULT_BETA, legitimacy_threshold
+from ..core.config import DEFAULT_BETA
 from ..errors import ScenarioError
 from ..metrics.base import BatchedObserverList
-from ..metrics.window import SingleReplicaView, run_window
 
 __all__ = [
     "Run",
@@ -58,7 +57,6 @@ __all__ = [
     "ScenarioProgram",
     "compile_scenario",
     "run_scenario_batched",
-    "run_scenario_sequential",
 ]
 
 
@@ -271,103 +269,3 @@ def run_scenario_batched(
         beta=beta,
         kernel=kernel,
     )
-
-
-# ----------------------------------------------------------------------
-# Sequential interpreter
-# ----------------------------------------------------------------------
-class _ShiftedObservers:
-    """Forward observations with the round index shifted onto the global clock.
-
-    The sequential engine rebuilds its process after a state edit (the
-    simulators own their loads), which resets the process-local round
-    counter; this adapter adds the rounds executed before the rebuild so
-    observers keep seeing the scenario's global clock.
-    """
-
-    def __init__(self, inner: BatchedObserverList, delta: int) -> None:
-        self._inner = inner
-        self._delta = delta
-
-    def observe(self, round_index: int, loads: np.ndarray) -> None:
-        self._inner.observe(round_index + self._delta, loads)
-
-
-def run_scenario_sequential(
-    process,
-    program: ScenarioProgram,
-    rng: np.random.Generator,
-    beta: float = DEFAULT_BETA,
-    observers=None,
-    rebuild: Optional[Callable] = None,
-) -> dict:
-    """Interpret a compiled program on one sequential replica.
-
-    ``rng`` is the stream the events draw from — pass the generator the
-    process itself steps with, which keeps an ``R == 1`` scenario run
-    stream-equal to the batched numpy engine (events there draw from the
-    process stream too).  ``rebuild(process, loads, event)`` must return a
-    fresh simulator carrying ``loads`` and the same generator (``event``
-    is the rewire event, or ``None`` for plain state edits).
-
-    Returns the per-trial record dict of the sequential ensemble engine
-    (``rounds`` / ``window_max_load`` / ``min_empty_bins`` /
-    ``first_legitimate_round`` / ``final_loads``).
-    """
-    obs = BatchedObserverList.coerce(observers)
-    threshold = legitimacy_threshold(process.n_bins, beta)
-    max_seen = 0
-    min_empty = int(process.n_bins)
-    first_legit = -1
-    executed = 0
-    for action in program.actions:
-        if isinstance(action, Run):
-            if action.rounds <= 0:
-                continue
-            delta = executed - int(process.round_index)
-            seg_obs = None
-            if action.observed and not obs.is_empty:
-                seg_obs = obs if delta == 0 else _ShiftedObservers(obs, delta)
-            seg_max, seg_min, seg_fl, seg_exec = run_window(
-                SingleReplicaView(process),
-                action.rounds,
-                threshold,
-                observers=seg_obs,
-                observe_every=action.observe_every,
-            )
-            executed += seg_exec
-            max_seen = max(max_seen, int(seg_max[0]))
-            min_empty = min(min_empty, int(seg_min[0]))
-            if first_legit < 0 and seg_fl[0] >= 0:
-                first_legit = int(seg_fl[0]) + delta
-        else:
-            event = action.event
-            if rebuild is None:
-                raise ScenarioError(
-                    "scenario event but no rebuild hook was provided"
-                )
-            if event.kind == "rewire":
-                process = rebuild(
-                    process, np.array(process.loads, copy=True), event
-                )
-                continue
-            loads = np.asarray(process.loads).reshape(1, -1)
-            edited = apply_event(event, loads, rng)
-            max_seen = max(max_seen, int(edited.max()))
-            process = rebuild(process, edited[0], None)
-    if executed == 0:
-        loads = np.asarray(process.loads)
-        return {
-            "rounds": 0,
-            "window_max_load": int(loads.max()),
-            "min_empty_bins": int(np.count_nonzero(loads == 0)),
-            "first_legitimate_round": -1,
-            "final_loads": np.array(loads, copy=True),
-        }
-    return {
-        "rounds": executed,
-        "window_max_load": max_seen,
-        "min_empty_bins": min_empty,
-        "first_legitimate_round": first_legit,
-        "final_loads": np.array(process.loads, copy=True),
-    }

@@ -11,8 +11,8 @@ runs every point not yet present in the result store:
    in plan order with size-independent per-point seeds, a resumed sweep
    produces a manifest **byte-identical** to an uninterrupted one;
 3. each point executes through
-   :func:`~repro.parallel.ensemble.run_ensemble` (batched engine by
-   default; ``n_workers > 1`` shards replicas across a process pool) and
+   :func:`~repro.parallel.ensemble.run_ensemble` (``n_workers > 1``
+   shards replicas across a process pool) and
    is appended to the store before the next point starts.
 
 Per-point engine time is measured and reported so callers (and
@@ -22,7 +22,6 @@ from simulation time.
 
 from __future__ import annotations
 
-import os
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -33,9 +32,14 @@ import numpy as np
 
 from .plan import SweepPlan, expand_sweep
 from .spec import SweepSpec
-from ..core.native import available_cpu_count, native_available, resolve_n_threads
+from ..core.native import (
+    available_cpu_count,
+    native_available,
+    requested_n_threads,
+    resolve_n_threads,
+)
 from ..errors import ConfigurationError
-from ..parallel.ensemble import run_ensemble
+from ..parallel.ensemble import check_engine, run_ensemble
 from ..rng import as_seed_sequence
 from ..store import ResultStore
 from ..types import SeedLike
@@ -158,7 +162,7 @@ def _cap_threads(n_threads: Optional[int], n_workers: int) -> Optional[int]:
     """
     requested = n_threads
     if requested is None:
-        if os.environ.get("REPRO_NATIVE_THREADS") is None:
+        if requested_n_threads() is None:
             return None
         requested = resolve_n_threads()
     workers = max(int(n_workers), 1)
@@ -222,6 +226,9 @@ def run_sweep(
         raise ConfigurationError(
             f"max_points must be >= 0, got {max_points}"
         )
+    # before the header is written or compared, so a store recorded under
+    # a removed engine fails loudly even when no point is left to run
+    check_engine(engine)
     started = time.perf_counter()
     plan = expand_sweep(spec)
     kernel = _resolve_kernel(kernel, plan)

@@ -1,11 +1,11 @@
-"""Exact-chain conformance and trace verification of every engine.
+"""Exact-chain conformance and trace verification of every engine coordinate.
 
-The safety net of ROADMAP item 5: at small ``n`` the full configuration
-chain is exactly enumerable (:mod:`repro.markov.small_n`), so every
-engine — sequential, batched numpy, both threaded C kernels, fused and
-segmented observation, every adversary/baseline/walk with an exact
-kernel — can be *confronted* with ground truth instead of merely
-cross-checked against another simulator.
+At small ``n`` the full configuration chain is exactly enumerable
+(:mod:`repro.markov.small_n`), so every engine coordinate — the numpy
+kernels, both threaded C kernels, fused and segmented observation,
+sharded runs, every adversary/baseline/walk with an exact kernel — can
+be *confronted* with ground truth instead of merely cross-checked
+against another simulator.
 
 Three layers:
 

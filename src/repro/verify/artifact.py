@@ -79,7 +79,7 @@ class CounterexampleArtifact:
     spec:
         Fully resolved engine-spec field assignment (JSON scalars only).
     engine:
-        Engine coordinates: engine/kernel/n_threads/fused/n_workers plus
+        Engine coordinates: kernel/n_threads/fused/n_workers plus
         any runner-specific knobs.
     violation:
         Check-specific evidence: observed vs expected tables for

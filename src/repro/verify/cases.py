@@ -1,18 +1,18 @@
 """The conformance-case catalog: which engine coordinates face which chain.
 
-A :class:`ConformanceCase` names one *engine coordinate* (engine, kernel,
-thread count, observation fusion, worker count) driving one *process
+A :class:`ConformanceCase` names one *engine coordinate* (kernel, thread
+count, observation fusion, worker count) driving one *process
 specification* at small ``n``, together with the exact ground truth it is
 checked against.  :func:`build_cases` enumerates the catalog at two
 levels:
 
 ``smoke``
-    The CI gate: every engine/kernel/fusion branch appears at least once,
+    The CI gate: every kernel/fusion branch appears at least once,
     with ensemble sizes tuned so the whole tier finishes in well under a
     minute on one core.
 ``full``
-    The pre-merge sweep: the full cross product — both engines, both
-    kernels, ``n_threads in {1, 2}``, fused and segmented observation,
+    The pre-merge sweep: the full cross product — both kernels,
+    ``n_threads in {1, 2}``, fused and segmented observation,
     every adversary with an exact kernel, Greedy[d], the token process,
     constrained and unconstrained walks on three topologies, and the
     Lemma 5 absorbing chain — at larger ``R`` and more horizons.
@@ -50,7 +50,6 @@ class ConformanceCase:
 
     name: str
     spec_config: Mapping[str, Any]
-    engine: str = "batched"
     kernel: str = "numpy"
     n_threads: Optional[int] = None
     fused: bool = True
@@ -69,12 +68,10 @@ class ConformanceCase:
     def engine_label(self) -> str:
         if self.runner not in ("ensemble", "scenario_noop"):
             return self.runner
-        bits = [self.engine]
-        if self.engine == "batched":
-            bits.append(self.kernel)
-            if self.kernel == "native":
-                bits.append(f"t{self.n_threads or 1}")
-                bits.append("fused" if self.fused else "segmented")
+        bits = [self.kernel]
+        if self.kernel == "native":
+            bits.append(f"t{self.n_threads or 1}")
+            bits.append("fused" if self.fused else "segmented")
         if self.n_workers > 1:
             bits.append(f"w{self.n_workers}")
         return "/".join(bits)
@@ -99,22 +96,14 @@ def _rbb_engine_matrix(R: int, smoke: bool) -> List[ConformanceCase]:
     horizons = (1, 4) if smoke else (1, 2, 4, 8)
     cases = [
         ConformanceCase(
-            name="rbb-sequential",
-            spec_config=spec,
-            engine="sequential",
-            horizons=(1, 4) if smoke else (1, 4),
-        ),
-        ConformanceCase(
             name="rbb-batched-numpy",
             spec_config=spec,
-            engine="batched",
             kernel="numpy",
             horizons=horizons,
         ),
         ConformanceCase(
             name="rbb-batched-numpy-sharded",
             spec_config=spec,
-            engine="batched",
             kernel="numpy",
             n_workers=2,
             horizons=(4,) if smoke else (1, 4),
@@ -132,7 +121,6 @@ def _rbb_engine_matrix(R: int, smoke: bool) -> List[ConformanceCase]:
                     name=f"rbb-batched-native-t{n_threads}-"
                     + ("fused" if fused else "segmented"),
                     spec_config=spec,
-                    engine="batched",
                     kernel="native",
                     n_threads=n_threads,
                     fused=fused,
@@ -151,24 +139,10 @@ def _rbb_engine_matrix(R: int, smoke: bool) -> List[ConformanceCase]:
                     "start": "all_in_one",
                     "metrics": ("max_load", "empty_bins"),
                 },
-                engine="batched",
                 kernel="native",
                 n_threads=2,
                 fused=True,
                 horizons=(2, 6),
-            )
-        )
-        cases.append(
-            ConformanceCase(
-                name="rbb-n4-sequential",
-                spec_config={
-                    "n_bins": 4,
-                    "n_replicas": max(R // 4, 200),
-                    "rounds": 4,
-                    "start": "balanced",
-                },
-                engine="sequential",
-                horizons=(2, 4),
             )
         )
     return cases
@@ -188,23 +162,8 @@ def _process_cases(R: int, smoke: bool) -> List[ConformanceCase]:
                 "process": "d_choices",
                 "d": 2,
             },
-            engine="batched",
             kernel="numpy",
             horizons=(1, 3) if smoke else (1, 2, 3),
-            ground_truth="exact_greedy_d_transition_matrix",
-        ),
-        ConformanceCase(
-            name="greedy-d2-sequential",
-            spec_config={
-                "n_bins": 3,
-                "n_replicas": max(R // 2, 150),
-                "rounds": 3,
-                "start": "all_in_one",
-                "process": "d_choices",
-                "d": 2,
-            },
-            engine="sequential",
-            horizons=(3,),
             ground_truth="exact_greedy_d_transition_matrix",
         ),
         ConformanceCase(
@@ -243,7 +202,6 @@ def _process_cases(R: int, smoke: bool) -> List[ConformanceCase]:
                     "adversary": adversary,
                     "fault_period": 2,
                 },
-                engine="batched",
                 kernel="numpy",
                 horizons=(4,) if smoke else (2, 4),
                 ground_truth="exact_rbb + adversary_matrix",
@@ -262,27 +220,9 @@ def _process_cases(R: int, smoke: bool) -> List[ConformanceCase]:
                     "adversary": "concentrate",
                     "fault_period": 2,
                 },
-                engine="batched",
                 kernel="native",
                 n_threads=2,
                 horizons=(2, 4),
-                ground_truth="exact_rbb + adversary_matrix",
-            )
-        )
-        cases.append(
-            ConformanceCase(
-                name="faulty-concentrate-sequential",
-                spec_config={
-                    "n_bins": 3,
-                    "n_replicas": max(R // 4, 150),
-                    "rounds": 4,
-                    "start": "balanced",
-                    "process": "faulty",
-                    "adversary": "concentrate",
-                    "fault_period": 2,
-                },
-                engine="sequential",
-                horizons=(4,),
                 ground_truth="exact_rbb + adversary_matrix",
             )
         )
@@ -303,7 +243,6 @@ def _process_cases(R: int, smoke: bool) -> List[ConformanceCase]:
                         "topology": topology,
                         "constrained": constrained,
                     },
-                    engine="batched",
                     kernel="numpy",
                     horizons=horizons,
                     ground_truth="exact_walk_transition_matrix",
@@ -322,27 +261,9 @@ def _process_cases(R: int, smoke: bool) -> List[ConformanceCase]:
                     "topology": "cycle:3",
                     "constrained": True,
                 },
-                engine="batched",
                 kernel="native",
                 n_threads=2,
                 horizons=(1, 3),
-                ground_truth="exact_walk_transition_matrix",
-            )
-        )
-        cases.append(
-            ConformanceCase(
-                name="walks-cycle3-constrained-sequential",
-                spec_config={
-                    "n_bins": 3,
-                    "n_replicas": max(R // 4, 150),
-                    "rounds": 3,
-                    "start": "all_in_one",
-                    "process": "graph_walks",
-                    "topology": "cycle:3",
-                    "constrained": True,
-                },
-                engine="sequential",
-                horizons=(3,),
                 ground_truth="exact_walk_transition_matrix",
             )
         )
@@ -375,17 +296,12 @@ def _scenario_cases(R: int, smoke: bool) -> List[ConformanceCase]:
     )
     cases = [
         ConformanceCase(
-            name="scenario-noop-sequential", engine="sequential", **noop_kwargs
-        ),
-        ConformanceCase(
             name="scenario-noop-batched-numpy",
-            engine="batched",
             kernel="numpy",
             **noop_kwargs,
         ),
         ConformanceCase(
             name="scenario-noop-batched-native-t1-fused",
-            engine="batched",
             kernel="native",
             n_threads=1,
             fused=True,
@@ -393,7 +309,6 @@ def _scenario_cases(R: int, smoke: bool) -> List[ConformanceCase]:
         ),
         ConformanceCase(
             name="scenario-noop-batched-native-t2-segmented",
-            engine="batched",
             kernel="native",
             n_threads=2,
             fused=False,
@@ -404,7 +319,6 @@ def _scenario_cases(R: int, smoke: bool) -> List[ConformanceCase]:
         cases.append(
             ConformanceCase(
                 name="scenario-noop-batched-numpy-sharded",
-                engine="batched",
                 kernel="numpy",
                 n_workers=2,
                 **noop_kwargs,
@@ -423,7 +337,6 @@ def _scenario_cases(R: int, smoke: bool) -> List[ConformanceCase]:
                     "constrained": True,
                     "metrics": ("max_load", "empty_bins"),
                 },
-                engine="batched",
                 kernel="numpy",
                 runner="scenario_noop",
                 horizons=(3,),
@@ -449,28 +362,11 @@ def _scenario_cases(R: int, smoke: bool) -> List[ConformanceCase]:
                 "scenario": scenario_json,
                 "metrics": ("max_load", "empty_bins"),
             },
-            engine="batched",
             kernel="numpy",
             horizons=(4,) if smoke else (2, 4),
             ground_truth="exact_rbb + adversary_matrix",
         )
     )
-    if not smoke:
-        cases.append(
-            ConformanceCase(
-                name="scenario-adversary-sequential",
-                spec_config={
-                    "n_bins": 3,
-                    "n_replicas": max(R // 4, 150),
-                    "rounds": 4,
-                    "start": "balanced",
-                    "scenario": scenario_json,
-                },
-                engine="sequential",
-                horizons=(4,),
-                ground_truth="exact_rbb + adversary_matrix",
-            )
-        )
     return cases
 
 

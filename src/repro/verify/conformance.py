@@ -18,12 +18,9 @@ Seeding discipline (the contract the seeding tests pin down): the root
 seed fans out through :func:`repro.parallel.seeding.trial_seed` —
 ``case_seed = trial_seed(root, case_index)``, then
 ``run_seed = trial_seed(case_seed, horizon_index)`` — and the engines
-spawn their per-replica/per-shard streams from ``run_seed`` exactly as
-documented in :mod:`repro.parallel.ensemble`.  For the sequential engine
-those per-trial streams depend only on the trial index, never on the
-worker count, so ``n_workers in {1, 2}`` is bit-identical; batched
-sharded runs re-spawn per shard and are therefore checked
-distributionally (the ``*-sharded`` cases).
+spawn their per-shard streams from ``run_seed`` exactly as documented in
+:mod:`repro.parallel.ensemble`.  Sharded runs re-spawn per shard and are
+therefore checked distributionally (the ``*-sharded`` cases).
 """
 
 from __future__ import annotations
@@ -59,7 +56,7 @@ from ..markov.small_n import (
     exact_rbb_transition_matrix,
     exact_walk_transition_matrix,
 )
-from ..parallel.ensemble import EnsembleSpec, run_ensemble
+from ..parallel.ensemble import EnsembleSpec, check_engine, run_ensemble
 from ..parallel.seeding import trial_seed
 from ..rng import as_seed_sequence
 from ..types import SeedLike
@@ -291,7 +288,6 @@ def _run_ensemble_case(
         result = run_ensemble(
             spec,
             seed=seed,
-            engine=case.engine,
             n_workers=case.n_workers,
             kernel=case.kernel,
             n_threads=case.n_threads,
@@ -388,7 +384,6 @@ def _check_scenario_noop_case(
         dict(case.spec_config),
         horizon,
         seed,
-        engine=case.engine,
         kernel=case.kernel,
         n_threads=case.n_threads,
         fused=case.fused,
@@ -581,7 +576,6 @@ def _attach_artifact(
         seed_spawn_key=[int(k) for k in seed_seq.spawn_key],
         spec=dict(case.spec_config),
         engine={
-            "engine": case.engine,
             "kernel": case.kernel,
             "n_threads": case.n_threads,
             "fused": case.fused,
@@ -670,6 +664,8 @@ def replay_artifact(path: str) -> ConformanceReport:
     from . import trace as trace_mod
 
     artifact = load_artifact(path)
+    # older artifacts record the engine name; a removed one fails loudly
+    check_engine(artifact.engine.get("engine", "batched"))
     if artifact.kind == "invariant":
         return trace_mod.replay_invariant_artifact(artifact)
     try:

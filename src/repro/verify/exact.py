@@ -13,8 +13,7 @@ Everything here is computed from the enumerated small-``n`` chains of
   configuration as well;
 * window empty-bin minima start at ``n`` and fold post-step
   configurations only — injected fault configurations are *not* folded,
-  matching both ``BatchedFaultyProcess`` and the sequential faulty trial
-  runner.
+  matching ``BatchedFaultyProcess``.
 
 Faults follow the engine clock: at a faulty round ``s`` the adversary
 matrix ``F`` applies *before* that round's transition, so the
@@ -189,7 +188,7 @@ def window_max_pmf(
     Fault-free runs fold post-step configurations starting from ``0``
     (the ``run_window`` convention).  Faulty runs seed the accumulator
     from the initial configuration and additionally fold each injected
-    configuration, matching the faulty engines on both counts.
+    configuration, matching ``BatchedFaultyProcess`` on both counts.
     ``seed_from_initial`` overrides the seeding convention for runners
     that fold the configuration at call time (the sequential token
     process).
@@ -225,8 +224,8 @@ def window_min_empty_pmf(
     """Exact distribution of ``min_empty_bins_seen``.
 
     Starts at ``n`` and folds post-step configurations only — injected
-    fault configurations are deliberately *not* folded, matching both
-    faulty engines.  ``seed_from_initial`` starts the accumulator at the
+    fault configurations are deliberately *not* folded, matching
+    ``BatchedFaultyProcess``.  ``seed_from_initial`` starts the accumulator at the
     initial configuration's empty-bin count instead (the sequential
     token-process convention).
     """

@@ -1,7 +1,7 @@
 """Render the verification catalog: the ground-truth matrix for the docs.
 
 The generated ``docs/VERIFICATION.md`` (see
-``scripts/generate_verification_matrix.py``) is produced from the same
+``scripts/generate_docs.py``) is produced from the same
 case catalog the harness runs, so the documented coverage can never
 drift from the enforced coverage — the CI staleness check fails the
 build if this module's output and the committed file disagree.
@@ -79,11 +79,11 @@ def render_verification_doc() -> str:
         "# Verification matrix",
         "",
         "<!-- GENERATED FILE - DO NOT EDIT.",
-        "     Regenerate with: python scripts/generate_verification_matrix.py",
+        "     Regenerate with: python scripts/generate_docs.py",
         "     CI fails if this file is stale. -->",
         "",
-        "`repro verify` cross-validates every engine coordinate (engine x",
-        "kernel x thread count x observation fusion x worker count) against",
+        "`repro verify` cross-validates every engine coordinate (kernel x",
+        "thread count x observation fusion x worker count) against",
         "the exactly enumerated small-`n` Markov chains of",
         "`repro.markov.small_n` and the Lemma 5 absorbing chain of",
         "`repro.markov.absorbing`.  Empirical distributions over `R`",

@@ -121,7 +121,6 @@ def run_noop_equality(
     horizon: int,
     seed,
     *,
-    engine: str = "batched",
     kernel: str = "numpy",
     n_threads: Optional[int] = None,
     fused: bool = True,
@@ -145,7 +144,6 @@ def run_noop_equality(
                 run_ensemble(
                     spec,
                     seed=fresh_seed(seed),
-                    engine=engine,
                     n_workers=n_workers,
                     kernel=kernel,
                     n_threads=n_threads,
@@ -166,7 +164,6 @@ def check_scenario_event_invariants(
     spec_config: Mapping[str, Any],
     seed,
     *,
-    engine: str = "batched",
     kernel: str = "numpy",
     n_threads: Optional[int] = None,
 ) -> List[str]:
@@ -186,7 +183,7 @@ def check_scenario_event_invariants(
             "check_scenario_event_invariants needs a spec with a scenario"
         )
     result = run_ensemble(
-        spec, seed=fresh_seed(seed), engine=engine, kernel=kernel, n_threads=n_threads
+        spec, seed=fresh_seed(seed), kernel=kernel, n_threads=n_threads
     )
     payload = result.metrics["trace"]
     trace = np.asarray(payload.series["trace"])  # (T, R, n)
@@ -224,7 +221,6 @@ def check_observation_schedule(
     spec_config: Mapping[str, Any],
     seed,
     *,
-    engine: str = "batched",
     kernel: str = "numpy",
     n_threads: Optional[int] = None,
 ) -> List[str]:
@@ -244,7 +240,7 @@ def check_observation_schedule(
         )
     program = compile_scenario(scenario, spec.rounds, spec.observe_every)
     result = run_ensemble(
-        spec, seed=fresh_seed(seed), engine=engine, kernel=kernel, n_threads=n_threads
+        spec, seed=fresh_seed(seed), kernel=kernel, n_threads=n_threads
     )
     expected = [int(r) for r in program.observation_rounds]
     violations: List[str] = []

@@ -336,14 +336,11 @@ class TestNativeKernel:
 class TestRunEnsemble:
     def test_engines_share_schema(self):
         spec = EnsembleSpec(n_bins=32, n_replicas=12, rounds=64, start="random_uniform")
-        batched = run_ensemble(spec, seed=0, engine="batched", kernel="numpy")
-        sequential = run_ensemble(spec, seed=0, engine="sequential")
-        for result in (batched, sequential):
-            assert result.n_replicas == 12
-            assert result.max_load_seen.shape == (12,)
-            assert (result.n_balls == 32).all()
-        assert batched.kernel == "numpy"
-        assert sequential.kernel == "sequential"
+        result = run_ensemble(spec, seed=0, engine="batched", kernel="numpy")
+        assert result.n_replicas == 12
+        assert result.max_load_seen.shape == (12,)
+        assert (result.n_balls == 32).all()
+        assert result.kernel == "numpy"
 
     def test_engines_agree_distributionally(self):
         spec = EnsembleSpec(
@@ -354,11 +351,18 @@ class TestRunEnsemble:
             stop_when_legitimate=True,
         )
         batched = run_ensemble(spec, seed=1, engine="batched", kernel="numpy")
-        sequential = run_ensemble(spec, seed=1, engine="sequential")
         assert batched.converged_fraction == 1.0
-        assert sequential.converged_fraction == 1.0
+        # the R == 1 reference simulator, one replica after another
+        rng = np.random.default_rng(1)
+        reference = [
+            RepeatedBallsIntoBins(
+                64, initial=LoadConfiguration.all_in_one(64), seed=rng
+            ).run_until_legitimate(20 * 64)
+            for _ in range(60)
+        ]
+        assert None not in reference
         mean_b = batched.first_legitimate_round.mean()
-        mean_s = sequential.first_legitimate_round.mean()
+        mean_s = float(np.mean(reference))
         assert abs(mean_b - mean_s) < 0.35 * max(mean_b, mean_s)
 
     def test_warmup_rounds(self):
@@ -380,10 +384,8 @@ class TestRunEnsemble:
     def test_explicit_matrix_start(self):
         start = make_ensemble_initial("random_uniform", 16, 5, seed=4)
         spec = EnsembleSpec(n_bins=16, n_replicas=5, rounds=10, start=start)
-        batched = run_ensemble(spec, seed=5, engine="batched", kernel="numpy")
-        sequential = run_ensemble(spec, seed=5, engine="sequential")
-        assert np.array_equal(batched.n_balls, start.sum(axis=1))
-        assert np.array_equal(sequential.n_balls, start.sum(axis=1))
+        result = run_ensemble(spec, seed=5, engine="batched", kernel="numpy")
+        assert np.array_equal(result.n_balls, start.sum(axis=1))
 
     def test_sharded_pool_runs(self):
         spec = EnsembleSpec(n_bins=16, n_replicas=9, rounds=20)
@@ -398,3 +400,8 @@ class TestRunEnsemble:
         spec = EnsembleSpec(n_bins=4, n_replicas=1, rounds=1)
         with pytest.raises(ConfigurationError):
             run_ensemble(spec, engine="quantum")
+
+    def test_sequential_engine_is_refused(self):
+        spec = EnsembleSpec(n_bins=4, n_replicas=1, rounds=1)
+        with pytest.raises(ConfigurationError, match="RepeatedBallsIntoBins"):
+            run_ensemble(spec, engine="sequential")

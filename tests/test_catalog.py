@@ -1,9 +1,9 @@
-"""The generated experiment catalog must stay in sync with the registry.
+"""The generated docs must stay in sync with the code they are rendered from.
 
-``docs/EXPERIMENTS.md`` is rendered by
-``scripts/generate_experiment_catalog.py``; CI runs the same ``--check``
-invocation, but keeping it in the tier-1 suite means a stale catalog fails
-fast locally too.
+``docs/EXPERIMENTS.md``, ``docs/VERIFICATION.md`` and
+``docs/STATIC_ANALYSIS.md`` are rendered by ``scripts/generate_docs.py``;
+CI runs the same ``--check`` invocation, but keeping it in the tier-1
+suite means a stale document fails fast locally too.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SCRIPT = ROOT / "scripts" / "generate_experiment_catalog.py"
+SCRIPT = ROOT / "scripts" / "generate_docs.py"
 
 
 def test_catalog_is_up_to_date():
@@ -24,17 +24,16 @@ def test_catalog_is_up_to_date():
         cwd=ROOT,
     )
     assert proc.returncode == 0, (
-        "docs/EXPERIMENTS.md is stale — regenerate with "
-        "`python scripts/generate_experiment_catalog.py`\n"
+        "a generated doc is stale — regenerate with "
+        "`python scripts/generate_docs.py`\n"
         f"{proc.stdout}{proc.stderr}"
     )
 
 
 def test_check_flags_a_stale_catalog(tmp_path):
-    stale = tmp_path / "EXPERIMENTS.md"
-    stale.write_text("# outdated\n")
+    (tmp_path / "EXPERIMENTS.md").write_text("# outdated\n")
     proc = subprocess.run(
-        [sys.executable, str(SCRIPT), "--check", "--out", str(stale)],
+        [sys.executable, str(SCRIPT), "--check", "--docs-dir", str(tmp_path)],
         capture_output=True,
         text=True,
         cwd=ROOT,

@@ -93,34 +93,16 @@ class TestMain:
         assert main(["run", "E1", "-p", "bogus=1"]) == 2
         assert "error" in capsys.readouterr().err
 
-    def test_run_with_engine_flag(self, capsys):
-        code = main(
-            [
-                "run",
-                "E1",
-                "-p",
-                "sizes=[16]",
-                "-p",
-                "trials=2",
-                "-p",
-                "rounds_factor=1.0",
-                "--engine",
-                "sequential",
-            ]
-        )
-        assert code == 0
-        assert "mean_window_max" in capsys.readouterr().out
-
-    def test_engine_flag_ignored_for_non_ensemble_experiment(self, capsys):
-        code = main(
-            ["run", "E14", "-p", "mc_sizes=[2]", "-p", "mc_trials=100", "--engine", "batched"]
-        )
-        assert code == 0
-        assert "--engine ignored" in capsys.readouterr().err
-
     def test_engine_flag_rejects_unknown_engine(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "E1", "--engine", "quantum"])
+        # no command takes an --engine flag
+        for argv in (
+            ["run", "E1", "--engine", "sequential"],
+            ["report", "--engine", "batched"],
+            ["sweep", "run", "smoke", "--store", "s", "--engine", "sequential"],
+            ["scenario", "run", "burst_recovery", "--engine", "batched"],
+        ):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
 
 
 class TestSweepCli:

@@ -1,4 +1,4 @@
-"""Unit tests for repro.core.metrics and repro.core.observers."""
+"""Unit tests for repro.core.metrics and the observer list the simulators hold."""
 
 from __future__ import annotations
 
@@ -13,7 +13,8 @@ from repro.core.metrics import (
     MaxLoadTracker,
     TraceRecorder,
 )
-from repro.core.observers import CallbackObserver, ObserverList
+from repro.errors import ConfigurationError
+from repro.metrics.base import BatchedCallbackObserver, BatchedObserverList
 
 
 def feed(tracker, snapshots):
@@ -152,10 +153,12 @@ class TestBinEmptyingTracker:
 
 
 class TestObserverList:
+    """The single-replica simulators' 1-D loads through BatchedObserverList."""
+
     def test_fan_out(self):
         a = MaxLoadTracker()
         b = EmptyBinsTracker()
-        group = ObserverList([a, b])
+        group = BatchedObserverList([a, b])
         group.observe(1, np.array([0, 3], dtype=np.int64))
         assert a.window_max == 3
         assert b.window_min == 1
@@ -163,30 +166,30 @@ class TestObserverList:
 
     def test_callable_wrapped(self):
         calls = []
-        group = ObserverList([lambda t, loads: calls.append(t)])
+        group = BatchedObserverList([lambda t, loads: calls.append(t)])
         group.observe(5, np.zeros(2, dtype=np.int64))
         assert calls == [5]
 
     def test_invalid_observer_rejected(self):
-        with pytest.raises(TypeError):
-            ObserverList([42])
+        with pytest.raises(ConfigurationError):
+            BatchedObserverList([42])
 
     def test_coerce_variants(self):
-        assert ObserverList.coerce(None).is_empty
-        single = ObserverList.coerce(MaxLoadTracker())
+        assert BatchedObserverList.coerce(None).is_empty
+        single = BatchedObserverList.coerce(MaxLoadTracker())
         assert len(single) == 1
-        several = ObserverList.coerce([MaxLoadTracker(), MaxLoadTracker()])
+        several = BatchedObserverList.coerce([MaxLoadTracker(), MaxLoadTracker()])
         assert len(several) == 2
-        passthrough = ObserverList.coerce(several)
+        passthrough = BatchedObserverList.coerce(several)
         assert passthrough is several
 
     def test_callback_observer(self):
         seen = []
-        obs = CallbackObserver(lambda t, loads: seen.append((t, int(loads.sum()))))
+        obs = BatchedCallbackObserver(lambda t, loads: seen.append((t, int(loads.sum()))))
         obs.observe(3, np.array([1, 2], dtype=np.int64))
         assert seen == [(3, 3)]
 
     def test_iteration(self):
         trackers = [MaxLoadTracker(), EmptyBinsTracker()]
-        group = ObserverList(trackers)
+        group = BatchedObserverList(trackers)
         assert list(group) == trackers

@@ -187,8 +187,13 @@ class TestEnsembleRouting:
     @pytest.mark.parametrize("spec_str", TOPOLOGY_SPECS)
     @pytest.mark.parametrize("constrained", [True, False])
     def test_engines_stream_equal_at_single_replica(self, spec_str, constrained):
-        # acceptance: run_ensemble at R = 1 is stream-equal across engines
-        # for every catalogued topology (same spawned seed, numpy kernel)
+        # acceptance: run_ensemble at R = 1 is stream-equal to the R = 1
+        # reference simulator for every catalogued topology — rebuild
+        # replica 0's seeding (trial_seed -> spawn(2)) and step
+        # ConstrainedParallelWalks by hand, folding the window statistics
+        # over post-step configurations as the engine does
+        from repro.parallel.seeding import trial_seed
+
         n = parse_topology_spec(spec_str).num_nodes
         spec = EnsembleSpec(
             n_bins=n,
@@ -198,33 +203,17 @@ class TestEnsembleRouting:
             topology=spec_str,
             constrained=constrained,
         )
-        sequential = run_ensemble(spec, seed=11, engine="sequential")
         batched = run_ensemble(spec, seed=11, engine="batched", kernel="numpy")
-        assert np.array_equal(sequential.final_loads, batched.final_loads)
-        assert np.array_equal(sequential.max_load_seen, batched.max_load_seen)
-        assert np.array_equal(
-            sequential.min_empty_bins_seen, batched.min_empty_bins_seen
-        )
-
-    def test_sequential_engine_matches_hand_driven_walks(self):
-        # the sequential engine's trial really is ConstrainedParallelWalks:
-        # rebuild trial 0's seeding (trial_seed -> spawn(2)) and compare
-        from repro.parallel.seeding import trial_seed
-
-        spec = EnsembleSpec(
-            n_bins=16,
-            n_replicas=1,
-            rounds=30,
-            process="graph_walks",
-            topology="cycle:16",
-        )
-        result = run_ensemble(spec, seed=5, engine="sequential")
-        _, sim_seq = trial_seed(5, 0).spawn(2)
+        _, sim_seq = trial_seed(11, 0).spawn(2)
         walks = ConstrainedParallelWalks(
-            resolve_topology("cycle:16"), seed=np.random.default_rng(sim_seq)
+            resolve_topology(spec_str),
+            constrained=constrained,
+            seed=np.random.default_rng(sim_seq),
         )
-        walks.run(30)
-        assert np.array_equal(result.final_loads[0], walks.loads)
+        states = np.array([walks.step().copy() for _ in range(40)])
+        assert np.array_equal(batched.final_loads[0], walks.loads)
+        assert batched.max_load_seen[0] == states.max()
+        assert batched.min_empty_bins_seen[0] == (states == 0).sum(axis=1).min()
 
     def test_metrics_pipeline_observes_walks(self):
         spec = EnsembleSpec(
@@ -236,14 +225,13 @@ class TestEnsembleRouting:
             metrics="max_load,empty_bins",
             observe_every=4,
         )
-        for engine in ("batched", "sequential"):
-            result = run_ensemble(spec, seed=2, engine=engine, kernel="numpy")
-            payload = result.metrics["max_load"]
-            assert payload.summaries["window_max"].shape == (3,)
-            series = payload.series["max_load"]
-            assert series.shape[1] == 3
-            # the star hub shows up in the observed series too
-            assert payload.summaries["window_max"].max() > 4
+        result = run_ensemble(spec, seed=2, engine="batched", kernel="numpy")
+        payload = result.metrics["max_load"]
+        assert payload.summaries["window_max"].shape == (3,)
+        series = payload.series["max_load"]
+        assert series.shape == (5, 3)  # rounds 4, 8, 12, 16, 20
+        # the star hub shows up in the observed series too
+        assert payload.summaries["window_max"].max() > 4
 
     def test_start_families_apply_to_walks(self):
         spec = EnsembleSpec(

@@ -512,14 +512,14 @@ class TestStaticAnalysisDoc:
         assert committed.exists(), "docs/STATIC_ANALYSIS.md missing"
         assert committed.read_text() == render_static_analysis_doc(), (
             "docs/STATIC_ANALYSIS.md is stale; rerun "
-            "scripts/generate_static_analysis_doc.py"
+            "scripts/generate_docs.py"
         )
 
     def test_generator_check_mode(self):
         proc = subprocess.run(
             [
                 sys.executable,
-                str(REPO_ROOT / "scripts" / "generate_static_analysis_doc.py"),
+                str(REPO_ROOT / "scripts" / "generate_docs.py"),
                 "--check",
             ],
             capture_output=True,

@@ -36,7 +36,6 @@ from repro.metrics import (
     as_load_matrix,
     build_trackers,
     normalize_metric_names,
-    run_replica_window,
     summarize_payloads,
 )
 from repro.parallel.aggregate import aggregate_ensemble
@@ -204,32 +203,28 @@ class TestStreamEquality:
 # Engine-level metrics= collection
 # ----------------------------------------------------------------------
 class TestEnsembleMetrics:
-    def test_both_engines_share_payload_schema(self):
+    def test_payload_schema(self):
         spec = EnsembleSpec(
             n_bins=32,
             n_replicas=5,
             rounds=30,
             metrics="max_load,empty_bins,legitimacy,histogram,bin_emptying",
         )
-        for engine, kwargs in (
-            ("batched", {"kernel": "numpy"}),
-            ("sequential", {}),
-        ):
-            result = run_ensemble(spec, seed=0, engine=engine, **kwargs)
-            assert set(result.metrics) == set(spec.metrics)
-            payload = result.metrics["max_load"]
-            assert payload.series["max_load"].shape == (30, 5)
-            assert payload.rounds.tolist() == list(range(1, 31))
-            # tracker window agrees with the engine's exact window at stride 1
-            assert np.array_equal(
-                payload.summaries["window_max"], result.max_load_seen
-            )
-            assert result.metrics["histogram"].arrays["counts"].shape == (5, 257)
-            assert result.metrics["bin_emptying"].arrays[
-                "first_empty_round"
-            ].shape == (5, 32)
+        result = run_ensemble(spec, seed=0, engine="batched", kernel="numpy")
+        assert set(result.metrics) == set(spec.metrics)
+        payload = result.metrics["max_load"]
+        assert payload.series["max_load"].shape == (30, 5)
+        assert payload.rounds.tolist() == list(range(1, 31))
+        # tracker window agrees with the engine's exact window at stride 1
+        assert np.array_equal(
+            payload.summaries["window_max"], result.max_load_seen
+        )
+        assert result.metrics["histogram"].arrays["counts"].shape == (5, 257)
+        assert result.metrics["bin_emptying"].arrays[
+            "first_empty_round"
+        ].shape == (5, 32)
 
-    def test_faulty_engines_share_observation_grid(self):
+    def test_faulty_observation_grid_restarts_at_faults(self):
         spec = EnsembleSpec(
             n_bins=32,
             n_replicas=3,
@@ -240,15 +235,14 @@ class TestEnsembleMetrics:
             metrics="max_load",
             observe_every=4,
         )
-        grids = []
-        for engine, kwargs in (
-            ("batched", {"kernel": "numpy"}),
-            ("sequential", {}),
-        ):
-            result = run_ensemble(spec, seed=1, engine=engine, **kwargs)
-            grids.append(result.metrics["max_load"].rounds.tolist())
-        # the observation stride restarts at each fault in both engines
-        assert grids[0] == grids[1]
+        result = run_ensemble(spec, seed=1, engine="batched", kernel="numpy")
+        # faults fire before rounds 20 and 40; each fault-free segment is
+        # observed every 4 of its own rounds and at its last round
+        assert result.metrics["max_load"].rounds.tolist() == [
+            4, 8, 12, 16, 19,
+            23, 27, 31, 35, 39,
+            43, 47, 51, 55, 59, 60,
+        ]
 
     def test_sharded_batched_concatenates_payloads(self):
         spec = EnsembleSpec(n_bins=16, n_replicas=7, rounds=20, metrics="max_load")
@@ -293,8 +287,7 @@ class TestEnsembleMetrics:
         built = build_trackers("legitimacy", beta=3.0)
         assert built[0][0] == "legitimacy" and built[0][1].beta == 3.0
 
-    @pytest.mark.parametrize("engine", ["sequential", "batched"])
-    def test_zero_round_run_keeps_replica_shaped_payloads(self, engine):
+    def test_zero_round_run_keeps_replica_shaped_payloads(self):
         """Every replica passes the early-stop pre-check: trackers never
         observe, yet payload summaries must stay (R,)-shaped."""
         spec = EnsembleSpec(
@@ -304,7 +297,7 @@ class TestEnsembleMetrics:
             stop_when_legitimate=True,  # balanced start is already legitimate
             metrics="max_load,legitimacy",
         )
-        result = run_ensemble(spec, seed=12, engine=engine, kernel="numpy")
+        result = run_ensemble(spec, seed=12, engine="batched", kernel="numpy")
         assert (result.rounds == 0).all()
         agg = aggregate_ensemble(result)
         assert agg.column("max_load_window_max").shape == (4,)
@@ -384,8 +377,7 @@ class TestPreCheckReportsObservedValue:
         assert loads.sum() == n_bins
         return loads
 
-    @pytest.mark.parametrize("engine", ["sequential", "batched"])
-    def test_already_legitimate_reports_observed_max(self, engine):
+    def test_already_legitimate_reports_observed_max(self):
         n = 64
         threshold = legitimacy_threshold(n, DEFAULT_BETA)
         at_threshold = self._boundary_config(n, int(threshold))
@@ -396,7 +388,7 @@ class TestPreCheckReportsObservedValue:
             start=np.tile(at_threshold, (3, 1)),
             stop_when_legitimate=True,
         )
-        result = run_ensemble(spec, seed=5, engine=engine, kernel="numpy")
+        result = run_ensemble(spec, seed=5, engine="batched", kernel="numpy")
         assert (result.rounds == 0).all()
         assert (result.first_legitimate_round == 0).all()
         # the fixed behavior: the observed max load, not 0
@@ -405,8 +397,7 @@ class TestPreCheckReportsObservedValue:
             result.min_empty_bins_seen == (at_threshold == 0).sum()
         ).all()
 
-    @pytest.mark.parametrize("engine", ["sequential", "batched"])
-    def test_just_above_threshold_runs(self, engine):
+    def test_just_above_threshold_runs(self):
         n = 64
         threshold = legitimacy_threshold(n, DEFAULT_BETA)
         above = self._boundary_config(n, int(threshold) + 1)
@@ -417,7 +408,7 @@ class TestPreCheckReportsObservedValue:
             start=np.tile(above, (2, 1)),
             stop_when_legitimate=True,
         )
-        result = run_ensemble(spec, seed=6, engine=engine, kernel="numpy")
+        result = run_ensemble(spec, seed=6, engine="batched", kernel="numpy")
         assert (result.rounds > 0).all()
         assert (result.max_load_seen > 0).all()
 
@@ -427,15 +418,6 @@ class TestPreCheckReportsObservedValue:
         import repro.parallel.ensemble as ensemble_module
 
         assert not hasattr(ensemble_module, "_window_record")
-
-    def test_run_replica_window_matches_process_run(self):
-        a = RepeatedBallsIntoBins(32, seed=8)
-        b = RepeatedBallsIntoBins(32, seed=8)
-        outcome = a.run(40)
-        record = run_replica_window(b, 40)
-        assert record["window_max_load"] == outcome.max_load_seen
-        assert record["min_empty_bins"] == outcome.min_empty_bins_seen
-        assert np.array_equal(record["final_loads"], np.asarray(a.loads))
 
 
 # ----------------------------------------------------------------------

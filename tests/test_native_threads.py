@@ -14,7 +14,12 @@ scheduler's oversubscription guard.
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,6 +304,59 @@ class TestResolveNThreads:
 
     def test_cpu_count_positive(self):
         assert available_cpu_count() >= 1
+
+    def test_env_reaches_sharded_runs(self, monkeypatch):
+        """A sharded run hands REPRO_NATIVE_THREADS to every shard; only
+        without it is the CPU count split between the shards."""
+        import repro.parallel.ensemble as ensemble
+
+        seen = []
+        real_run = ensemble.TrialRunner.run
+
+        def spy(self, trial_fn, n_trials, seed=None, kwargs=None):
+            seen.append(kwargs["n_threads"])
+            in_process = ensemble.TrialRunner(n_workers=0)
+            return real_run(in_process, trial_fn, n_trials, seed=seed, kwargs=kwargs)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        monkeypatch.setattr(ensemble.TrialRunner, "effective_workers", property(lambda self: 2))
+        monkeypatch.setattr(ensemble.TrialRunner, "run", spy)
+        spec = EnsembleSpec(n_bins=8, n_replicas=4, rounds=3)
+        monkeypatch.setenv("REPRO_NATIVE_THREADS", "3")
+        with_env = run_ensemble(spec, seed=0, n_workers=2, kernel="numpy")
+        monkeypatch.delenv("REPRO_NATIVE_THREADS")
+        without_env = run_ensemble(spec, seed=0, n_workers=2, kernel="numpy")
+        assert seen == [3, 4]  # 8 visible CPUs split between 2 shards
+        assert np.array_equal(with_env.final_loads, without_env.final_loads)
+
+
+@needs_native
+def test_sharded_run_after_threaded_run_does_not_deadlock():
+    """GNU libgomp's worker pool does not survive fork(): a process-pool
+    shard forked after a multi-threaded OpenMP launch must not enter a
+    multi-threaded parallel region again (it would hang forever)."""
+    code = (
+        "from repro.parallel.ensemble import EnsembleSpec, run_ensemble\n"
+        "spec = EnsembleSpec(n_bins=64, n_replicas=16, rounds=50)\n"
+        "run_ensemble(spec, seed=0, kernel='native', n_threads=2)\n"
+        "result = run_ensemble(spec, seed=0, kernel='native', n_workers=2, n_threads=2)\n"
+        "assert result.n_replicas == 16\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,  # so a hung pool can be killed as a group
+    )
+    try:
+        _, stderr = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("the sharded run deadlocked after a threaded OpenMP launch")
+    assert proc.returncode == 0, stderr
 
 
 class TestBinaryCacheKey:

@@ -37,7 +37,6 @@ MODULES = [
     "repro.core.queueing",
     "repro.core.token_process",
     "repro.core.metrics",
-    "repro.core.observers",
     "repro.markov.chain",
     "repro.markov.absorbing",
     "repro.markov.small_n",

@@ -4,9 +4,8 @@ Covers the four layers of :mod:`repro.scenarios` — spec validation and
 JSON round-trips, the segment compiler's observation-grid invariance,
 vectorized event application (conservation where required), and the
 interpreter contracts: no-op bit-equality against static runs, ``R = 1``
-stream equality between the batched and sequential drivers under
-events, and the observation clock staying put when events fire between
-grid points.  Also pins the `EnsembleSpec` constructor guards that ride
+stream equality with a hand-segmented batched process under events, and
+the observation clock staying put when events fire between grid points.  Also pins the `EnsembleSpec` constructor guards that ride
 along: the fault-schedule-past-window check and the scenario
 compatibility rules.
 """
@@ -19,7 +18,10 @@ import pytest
 from repro.core.batched import BatchedRepeatedBallsIntoBins
 from repro.core.native import native_available
 from repro.errors import ConfigurationError, ScenarioError
+from repro.graphs.batched import BatchedConstrainedWalks
+from repro.graphs.generators import resolve_topology
 from repro.parallel.ensemble import EnsembleSpec, run_ensemble
+from repro.parallel.seeding import trial_seed
 from repro.scenarios import (
     ScenarioEvent,
     ScenarioSpec,
@@ -34,6 +36,7 @@ from repro.scenarios import (
 )
 from repro.scenarios.engine import Run
 from repro.scenarios.events import apply_bin_churn, apply_burst, apply_drain
+from repro.scenarios.spec import CONSERVING_KINDS
 
 needs_native = pytest.mark.skipif(
     not native_available(), reason="native kernel unavailable (no C compiler)"
@@ -379,6 +382,50 @@ EVENTFUL_SCENARIO = (
 )
 
 
+def _replica0_seed(seed):
+    """The simulation stream run_ensemble gives replica 0 of a 1-shard run."""
+    _, sim_seq = trial_seed(seed, 0).spawn(2)
+    return sim_seq
+
+
+def _hand_segmented(process, scenario, rounds, rewire=None):
+    """Drive ``process`` through ``scenario`` by hand.
+
+    Engine runs between event rounds and ``apply_event`` edits at them —
+    the program the interpreter executes, with none of its machinery.
+    Returns ``(process, max_seen, min_empty, first_legit)``, folding the
+    window statistics as the interpreter does: post-step configurations
+    plus post-edit maxima.
+    """
+    max_seen = np.zeros(process.n_replicas, dtype=np.int64)
+    min_empty = np.full(process.n_replicas, process.n_bins, dtype=np.int64)
+    first_legit = np.full(process.n_replicas, -1, dtype=np.int64)
+    cursor = 0
+
+    def advance(length):
+        result = process.run(length)
+        np.maximum(max_seen, result.max_load_seen, out=max_seen)
+        np.minimum(min_empty, result.min_empty_bins_seen, out=min_empty)
+        hit = (first_legit < 0) & (result.first_legitimate_round >= 0)
+        first_legit[hit] = result.first_legitimate_round[hit]
+
+    for when, event in scenario.expand_events(rounds):
+        if when - 1 > cursor:
+            advance(when - 1 - cursor)
+            cursor = when - 1
+        if event.kind == "rewire":
+            process = rewire(process, event)
+            continue
+        edited = apply_event(event, process.loads, process.rng)
+        if event.kind in CONSERVING_KINDS:
+            process.inject_loads(edited)
+        else:
+            process.replace_loads(edited)
+        np.maximum(max_seen, edited.max(axis=1), out=max_seen)
+    advance(rounds - cursor)
+    return process, max_seen, min_empty, first_legit
+
+
 class TestInterpreter:
     def test_noop_scenario_bit_equal_to_static_run(self):
         config = dict(
@@ -418,17 +465,19 @@ class TestInterpreter:
         batched = run_ensemble(
             EnsembleSpec(**config), seed=11, engine="batched", kernel="numpy"
         )
-        sequential = run_ensemble(
-            EnsembleSpec(**config), seed=11, engine="sequential"
+        process, max_seen, min_empty, first_legit = _hand_segmented(
+            BatchedRepeatedBallsIntoBins(
+                6, 1, seed=_replica0_seed(11), kernel="numpy"
+            ),
+            resolve_scenario(EVENTFUL_SCENARIO),
+            12,
         )
-        assert np.array_equal(batched.final_loads, sequential.final_loads)
-        assert np.array_equal(batched.max_load_seen, sequential.max_load_seen)
-        assert np.array_equal(
-            batched.min_empty_bins_seen, sequential.min_empty_bins_seen
-        )
-        assert np.array_equal(
-            batched.first_legitimate_round, sequential.first_legitimate_round
-        )
+        assert np.array_equal(batched.final_loads, process.loads)
+        assert np.array_equal(batched.max_load_seen, max_seen)
+        assert np.array_equal(batched.min_empty_bins_seen, min_empty)
+        assert np.array_equal(batched.first_legitimate_round, first_legit)
+        # the burst of 7 balls into 6 bins is in the window
+        assert batched.max_load_seen[0] >= 2
 
     def test_ball_accounting_across_events(self):
         spec = EnsembleSpec(
@@ -476,9 +525,9 @@ class TestInterpreter:
             ),
         )
         batched = run_ensemble(spec, seed=5, engine="batched", kernel="numpy")
-        sequential = run_ensemble(spec, seed=5, engine="sequential")
+        assert batched.final_loads.shape == (2, 4)
         assert np.all(batched.final_loads.sum(axis=1) == 4)
-        # R>1 rewire keeps per-replica streams going; the R=1 slice agrees
+        # the R=1 run agrees with a hand-driven walk rewired at round 4
         spec1 = EnsembleSpec(
             n_bins=4,
             n_replicas=1,
@@ -488,9 +537,31 @@ class TestInterpreter:
             scenario=spec.scenario,
         )
         b1 = run_ensemble(spec1, seed=5, engine="batched", kernel="numpy")
-        s1 = run_ensemble(spec1, seed=5, engine="sequential")
-        assert np.array_equal(b1.final_loads, s1.final_loads)
-        assert sequential.final_loads.shape == (2, 4)
+
+        def rewire(process, event):
+            return BatchedConstrainedWalks(
+                resolve_topology(event.topology),
+                1,
+                initial=process.loads,
+                seed=process.rng,
+                kernel="numpy",
+            )
+
+        process, max_seen, min_empty, _ = _hand_segmented(
+            BatchedConstrainedWalks(
+                resolve_topology("cycle:4"),
+                1,
+                seed=_replica0_seed(5),
+                kernel="numpy",
+            ),
+            spec1.resolved_scenario(),
+            8,
+            rewire=rewire,
+        )
+        assert process.topology is resolve_topology("star:4")
+        assert np.array_equal(b1.final_loads, process.loads)
+        assert np.array_equal(b1.max_load_seen, max_seen)
+        assert np.array_equal(b1.min_empty_bins_seen, min_empty)
 
 
 def _process_builders():
@@ -599,9 +670,6 @@ class TestObservationClock:
 
     def test_batched_numpy(self):
         assert self._rounds(engine="batched", kernel="numpy") == self.EXPECTED
-
-    def test_sequential(self):
-        assert self._rounds(engine="sequential") == self.EXPECTED
 
     @needs_native
     def test_native_fused(self):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -229,6 +230,18 @@ class TestScheduler:
         run_sweep(tiny_spec(), a, seed=5, kernel="numpy")
         run_sweep(tiny_spec(), b, seed=5, kernel="numpy")
         assert a.manifest_bytes() == b.manifest_bytes()
+
+    def test_resume_refuses_a_sequential_engine_header(self, tmp_path):
+        """Stores written by the removed sequential engine fail loudly on
+        resume, even when no point is left to run."""
+        store_dir = tmp_path / "store"
+        run_sweep(tiny_spec(), store_dir, seed=1, kernel="numpy")
+        header_path = store_dir / ResultStore.HEADER_NAME
+        header = json.loads(header_path.read_text())
+        header["engine"] = "sequential"
+        header_path.write_text(json.dumps(header))
+        with pytest.raises(ConfigurationError, match="DChoicesProcess"):
+            resume_sweep(store_dir)
 
     def test_resume_from_disk_store(self, tmp_path):
         store_dir = tmp_path / "store"
