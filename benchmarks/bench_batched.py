@@ -24,6 +24,11 @@ Scenarios:
     per-segment statistics are computed inside the C round loop, so the
     observed run must hit the *same* pro-rated 100x target as the plain
     run (observation is no longer a tax).
+``rbb_observed_histogram``
+    The same run collecting the sweep tracker set
+    ``max_load,histogram,moments``, also fused: the kernel fills the load
+    histogram and the moment sums inside its round loop.  Recorded in the
+    ledger, with no floor of its own.
 ``rbb_numpy``
     The pure-numpy batched kernel, compared at ``R = 256`` (the historic
     acceptance scale; at ``R = 4096`` the numpy kernel's 32 MB working set
@@ -169,6 +174,13 @@ def _spec(scale: Scale, n_replicas: int, process: str = "rbb") -> EnsembleSpec:
         return EnsembleSpec(
             rounds=scale.rounds,
             metrics="max_load,legitimacy",
+            observe_every=OBSERVE_EVERY,
+            **common,
+        )
+    if process == "rbb_observed_histogram":
+        return EnsembleSpec(
+            rounds=scale.rounds,
+            metrics="max_load,histogram,moments",
             observe_every=OBSERVE_EVERY,
             **common,
         )
@@ -342,6 +354,16 @@ def measure(scale: Scale = FULL) -> Dict[str, dict]:
             scale.native_replicas,
             scale.rounds,
             seq_per_replica * scale.native_replicas / obs,
+        )
+        hist = _timed(
+            _spec(scale, scale.native_replicas, "rbb_observed_histogram"),
+            "native",
+        )
+        cases["rbb_native_observed_histogram"] = _case(
+            hist,
+            scale.native_replicas,
+            scale.rounds,
+            seq_per_replica * scale.native_replicas / hist,
         )
 
     # --- Greedy[2] (numpy-only) -------------------------------------

@@ -1,6 +1,7 @@
 /* Shared runtime for the compiled batched kernels (rbb_kernel.c,
  * graphs/walk_kernel.c): the xoshiro256++ generator, Lemire's unbiased
- * bounded-integer reduction, and the replica-axis threading layer.
+ * bounded-integer reduction, the replica-axis threading layer, and the
+ * fused-observation row reduction.
  *
  * Threading model
  * ---------------
@@ -287,6 +288,113 @@ static void repro_for_each_replica(void *ctx, repro_replica_fn fn, int64_t R,
 #endif
     for (int64_t r = 0; r < R; r++)
         fn(ctx, r, 0);
+}
+
+/* ------------------------------------------------------------------ */
+/* Fused observation                                                   */
+/* ------------------------------------------------------------------ */
+
+/* The fused-observation outputs both kernels fill (the Python side is
+ * repro.metrics.fused.FusedSegmentStats).  Per-point blocks are
+ * (n_obs, R); the load histogram is (R, hist_cap + 1) and, with the
+ * overflow vector, sums over every observation point of the window. */
+typedef struct {
+    int64_t R;
+    int64_t observe_every;
+    int64_t n_obs;     /* 0 disables observation */
+    int32_t *max;      /* (n_obs, R) post-round max load */
+    int32_t *empty;    /* (n_obs, R) post-round empty-bin count */
+    int64_t *sum;      /* (n_obs, R) load sum, or NULL */
+    int64_t *sumsq;    /* (n_obs, R) load sum of squares, or NULL */
+    int64_t hist_cap;  /* loads above it count in the last bucket */
+    int64_t *hist;     /* (R, hist_cap + 1) load counts, or NULL */
+    int64_t *overflow; /* (R,) loads above hist_cap, or NULL */
+} repro_obs_t;
+
+static inline repro_obs_t repro_obs_make(int64_t R, int64_t observe_every,
+                                         int64_t n_obs, int32_t *max,
+                                         int32_t *empty, int64_t *sum,
+                                         int64_t *sumsq, int64_t hist_cap,
+                                         int64_t *hist, int64_t *overflow)
+{
+    repro_obs_t o;
+    const int want_hist = hist && overflow && hist_cap >= 0;
+    o.R = R;
+    o.observe_every = observe_every < 1 ? 1 : observe_every;
+    o.n_obs = (max && empty) ? n_obs : 0;
+    o.max = max;
+    o.empty = empty;
+    o.sum = sum && sumsq ? sum : 0;
+    o.sumsq = sum && sumsq ? sumsq : 0;
+    o.hist_cap = want_hist ? hist_cap : 0;
+    o.hist = want_hist ? hist : 0;
+    o.overflow = want_hist ? overflow : 0;
+    return o;
+}
+
+/* Whether window round t (0-based) ends at an observation point: every
+ * stride boundary, plus the window's last round. */
+static inline int repro_obs_due(const repro_obs_t *o, int64_t t,
+                                int64_t rounds)
+{
+    return o->n_obs && ((t + 1) % o->observe_every == 0 || t + 1 == rounds);
+}
+
+/* Record observation slot k of replica r, whose n-bin row currently has
+ * max load mx and `empty` empty bins (the kernels keep both as by-products
+ * of the round).  When moments or the histogram are requested, one pass
+ * over the row yields the sum, the sum of squares and the bucket counts
+ * together.  Histogram overflow goes to *overflow, a local of the caller
+ * written out once per replica by repro_obs_flush. */
+static void repro_obs_record(const repro_obs_t *o, const int32_t *row,
+                             int64_t n, int64_t r, int64_t k, int32_t mx,
+                             int64_t empty, int64_t *overflow)
+{
+    const int64_t slot = k * o->R + r;
+    int64_t s = 0, ss = 0;
+    o->max[slot] = mx;
+    o->empty[slot] = (int32_t)empty;
+    if (o->hist) {
+        const int64_t cap = o->hist_cap;
+        int64_t *h = o->hist + r * (cap + 1);
+        if (mx <= cap) { /* the usual case: no load needs clipping */
+            for (int64_t i = 0; i < n; i++) {
+                const int64_t l = row[i];
+                s += l;
+                ss += l * l;
+                h[l]++;
+            }
+        } else {
+            int64_t over = 0;
+            for (int64_t i = 0; i < n; i++) {
+                const int64_t l = row[i];
+                const int64_t big = l > cap;
+                s += l;
+                ss += l * l;
+                over += big;
+                h[big ? cap : l]++;
+            }
+            *overflow += over;
+        }
+    } else if (o->sum) {
+        for (int64_t i = 0; i < n; i++) {
+            const int64_t l = row[i];
+            s += l;
+            ss += l * l;
+        }
+    }
+    if (o->sum) {
+        o->sum[slot] = s;
+        o->sumsq[slot] = ss;
+    }
+}
+
+/* Write replica r's accumulated histogram overflow. */
+static inline void repro_obs_flush(const repro_obs_t *o, int64_t r,
+                                   int64_t overflow)
+{
+    if (o->overflow)
+        o->overflow[r] += overflow;
 }
 
 #endif /* REPRO_KERNEL_COMMON_H */

@@ -67,7 +67,12 @@ from .config import DEFAULT_BETA, LoadConfiguration, legitimacy_threshold
 from .native import get_kernel, native_status, resolve_n_threads
 from ..errors import ConfigurationError, SimulationError
 from ..metrics.base import BatchedObserverList
-from ..metrics.fused import FusedSegmentStats, fused_needs_moments, supports_fused
+from ..metrics.fused import (
+    FusedSegmentStats,
+    fused_hist_cap,
+    fused_needs_moments,
+    supports_fused,
+)
 from ..metrics.payload import MetricPayload, concatenate_payload_maps
 from ..metrics.window import run_window
 from ..rng import as_seed_sequence
@@ -80,6 +85,57 @@ __all__ = [
     "EnsembleResult",
     "make_ensemble_initial",
 ]
+
+
+def native_ptr(arr: Optional[np.ndarray], ctype):
+    """A ``ctypes`` pointer to an array's data; ``None`` passes NULL."""
+    if arr is None:
+        return None
+    return arr.ctypes.data_as(ctypes.POINTER(ctype))
+
+
+@dataclass(frozen=True)
+class FusedBuffers:
+    """Output buffers of one fused-observation kernel call.
+
+    The per-point blocks are ``(n_obs, R)``; the histogram blocks are
+    ``(R, hist_cap + 1)`` and ``(R,)``, summed by the kernel over the
+    ``n_obs`` points.  Optional blocks are ``None`` when no observer
+    consumes them, and the kernel then skips that work.
+    """
+
+    observe_every: int
+    max_load: np.ndarray  # (n_obs, R) int32
+    empty_bins: np.ndarray  # (n_obs, R) int32
+    load_sum: Optional[np.ndarray] = None  # (n_obs, R) int64
+    load_sumsq: Optional[np.ndarray] = None  # (n_obs, R) int64
+    hist_cap: int = 0
+    hist_counts: Optional[np.ndarray] = None  # (R, hist_cap + 1) int64
+    hist_overflow: Optional[np.ndarray] = None  # (R,) int64
+
+
+def fused_kernel_args(obs: Optional[FusedBuffers]) -> tuple:
+    """The kernels' fused-observation arguments after ``n_threads``
+    (``_obs_tail`` in :mod:`repro.core.native`); ``None`` observes
+    nothing (``n_obs = 0`` and NULL buffers)."""
+    if obs is None:
+        return (
+            ctypes.c_int64(1), ctypes.c_int64(0),  # observe_every, n_obs
+            None, None, None, None,  # per-point blocks
+            ctypes.c_int64(0), None, None,  # hist_cap, histogram blocks
+        )
+    return (
+        ctypes.c_int64(obs.observe_every),
+        ctypes.c_int64(obs.max_load.shape[0]),
+        native_ptr(obs.max_load, ctypes.c_int32),
+        native_ptr(obs.empty_bins, ctypes.c_int32),
+        native_ptr(obs.load_sum, ctypes.c_int64),
+        native_ptr(obs.load_sumsq, ctypes.c_int64),
+        ctypes.c_int64(obs.hist_cap),
+        native_ptr(obs.hist_counts, ctypes.c_int64),
+        native_ptr(obs.hist_overflow, ctypes.c_int64),
+    )
+
 
 #: Initial-configuration families understood by :func:`make_ensemble_initial`.
 INITIAL_KINDS = (
@@ -675,8 +731,9 @@ class BatchedLoadProcess:
         """Whether this observed run can use in-kernel (fused) observation.
 
         Fusion requires every observer to accept
-        :class:`~repro.metrics.fused.FusedSegmentStats`, and a window
-        where the observation schedule is statically known: no
+        :class:`~repro.metrics.fused.FusedSegmentStats`, at most one
+        histogram cap among them (the kernel fills one histogram), and
+        a window where the observation schedule is statically known: no
         ``stop_when_legitimate`` early exit, every replica active, and
         all replicas at the same global round (so all share one
         observation-round vector).  The environment variable
@@ -691,7 +748,14 @@ class BatchedLoadProcess:
             return False
         if not (self._rounds_done == self._rounds_done[0]).all():
             return False
+        if len(self._fused_hist_caps(observers)) > 1:
+            return False
         return all(supports_fused(observer) for observer in observers)
+
+    @staticmethod
+    def _fused_hist_caps(observers) -> set:
+        """The distinct histogram caps the observers need from the kernel."""
+        return {fused_hist_cap(o) for o in observers} - {None}
 
     def _run_native_fused(
         self, kernel, rounds, threshold, first_legit, observers, observe_every
@@ -700,25 +764,37 @@ class BatchedLoadProcess:
 
         The kernel fills ``(n_obs, R)`` buffers with the post-round max
         load and empty-bin count at every stride boundary (plus the load
-        sum / sum of squares when a moments consumer asks); the buffers
-        are handed to each observer's ``ingest_fused``.  All recorded
-        values are integers the Python trackers would have computed from
-        the matrices themselves, so the resulting tracker state is
-        bit-identical to the segmented loop's.
+        sum / sum of squares when a moments consumer asks, and the load
+        histogram summed over the points when a histogram consumer
+        asks); the buffers are handed to each observer's
+        ``ingest_fused``.  All recorded values are integers the Python
+        trackers would have computed from the matrices themselves, so
+        the resulting tracker state is bit-identical to the segmented
+        loop's.
         """
         R, n = self._n_replicas, self._n_bins
         n_obs = -(-rounds // observe_every)  # ceil division
         need_moments = any(fused_needs_moments(o) for o in observers)
-        obs_max = np.zeros((n_obs, R), dtype=np.int32)
-        obs_empty = np.zeros((n_obs, R), dtype=np.int32)
-        obs_sum = np.zeros((n_obs, R), dtype=np.int64) if need_moments else None
-        obs_sumsq = (
-            np.zeros((n_obs, R), dtype=np.int64) if need_moments else None
+        caps = self._fused_hist_caps(observers)  # _fusable: at most one
+        need_hist = bool(caps)
+        cap = caps.pop() if caps else 0
+
+        def zeros(shape, dtype, wanted=True):
+            return np.zeros(shape, dtype=dtype) if wanted else None
+
+        obs = FusedBuffers(
+            observe_every=observe_every,
+            max_load=zeros((n_obs, R), np.int32),
+            empty_bins=zeros((n_obs, R), np.int32),
+            load_sum=zeros((n_obs, R), np.int64, need_moments),
+            load_sumsq=zeros((n_obs, R), np.int64, need_moments),
+            hist_cap=cap,
+            hist_counts=zeros((R, cap + 1), np.int64, need_hist),
+            hist_overflow=zeros(R, np.int64, need_hist),
         )
         start = int(self._rounds_done[0])
         max_seen, min_empty = self._run_native(
-            kernel, rounds, threshold, False, first_legit,
-            obs=(observe_every, obs_max, obs_empty, obs_sum, obs_sumsq),
+            kernel, rounds, threshold, False, first_legit, obs=obs
         )
         # observation k happens after round (k+1) * observe_every, capped
         # at the window end — the same schedule the segmented loop drives
@@ -727,11 +803,13 @@ class BatchedLoadProcess:
         )
         stats = FusedSegmentStats(
             rounds=obs_rounds,
-            max_load=obs_max.astype(np.int64),
-            empty_bins=obs_empty.astype(np.int64),
+            max_load=obs.max_load.astype(np.int64),
+            empty_bins=obs.empty_bins.astype(np.int64),
             n_bins=n,
-            load_sum=obs_sum,
-            load_sumsq=obs_sumsq,
+            load_sum=obs.load_sum,
+            load_sumsq=obs.load_sumsq,
+            hist_counts=obs.hist_counts,
+            hist_overflow=obs.hist_overflow,
         )
         for observer in observers:
             observer.ingest_fused(stats)
@@ -743,9 +821,8 @@ class BatchedLoadProcess:
     ):
         """One native-kernel call advancing up to ``rounds`` rounds
         (kernel-owning subclasses implement this).  ``obs`` is ``None``
-        or a ``(observe_every, obs_max, obs_empty, obs_sum, obs_sumsq)``
-        tuple of fused-observation output buffers (the moment buffers may
-        be ``None``)."""
+        or the call's :class:`FusedBuffers`, passed to the kernel through
+        :func:`fused_kernel_args`."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -1010,38 +1087,21 @@ class BatchedRepeatedBallsIntoBins(BatchedLoadProcess):
         rounds_done = np.ascontiguousarray(self._rounds_done)
         first64 = np.ascontiguousarray(first_legit)
         n_threads = resolve_n_threads(self._n_threads, R, kernel="rbb")
-        if obs is None:
-            observe_every, n_obs = 1, 0
-            obs_max = obs_empty = obs_sum = obs_sumsq = None
-        else:
-            observe_every, obs_max, obs_empty, obs_sum, obs_sumsq = obs
-            n_obs = int(obs_max.shape[0])
-
-        def ptr(arr, ctype):
-            if arr is None:
-                return None  # NULL: kernel skips the optional output
-            return arr.ctypes.data_as(ctypes.POINTER(ctype))
-
         kernel(
-            ptr(loads32, ctypes.c_int32),
+            native_ptr(loads32, ctypes.c_int32),
             ctypes.c_int64(R),
             ctypes.c_int64(self._n_bins),
             ctypes.c_int64(rounds),
-            ptr(states, ctypes.c_uint64),
+            native_ptr(states, ctypes.c_uint64),
             ctypes.c_double(threshold),
             ctypes.c_int(1 if stop_when_legitimate else 0),
-            ptr(max_seen, ctypes.c_int32),
-            ptr(min_empty, ctypes.c_int32),
-            ptr(first64, ctypes.c_int64),
-            ptr(rounds_done, ctypes.c_int64),
-            ptr(active8, ctypes.c_uint8),
+            native_ptr(max_seen, ctypes.c_int32),
+            native_ptr(min_empty, ctypes.c_int32),
+            native_ptr(first64, ctypes.c_int64),
+            native_ptr(rounds_done, ctypes.c_int64),
+            native_ptr(active8, ctypes.c_uint8),
             ctypes.c_int32(n_threads),
-            ctypes.c_int64(observe_every),
-            ctypes.c_int64(n_obs),
-            ptr(obs_max, ctypes.c_int32),
-            ptr(obs_empty, ctypes.c_int32),
-            ptr(obs_sum, ctypes.c_int64),
-            ptr(obs_sumsq, ctypes.c_int64),
+            *fused_kernel_args(obs),
         )
         self._loads[...] = loads32
         self._rounds_done[...] = rounds_done

@@ -127,6 +127,9 @@ def _obs_tail() -> Tuple[object, ...]:
         ctypes.POINTER(ctypes.c_int32),  # obs_empty (n_obs, R) or None
         ctypes.POINTER(ctypes.c_int64),  # obs_sum (n_obs, R) or None
         ctypes.POINTER(ctypes.c_int64),  # obs_sumsq (n_obs, R) or None
+        ctypes.c_int64,  # hist_cap
+        ctypes.POINTER(ctypes.c_int64),  # obs_hist (R, hist_cap + 1) or None
+        ctypes.POINTER(ctypes.c_int64),  # obs_overflow (R,) or None
     )
 
 

@@ -17,10 +17,12 @@
  *
  * Fused observation: when n_obs > 0 the kernel records, at every stride
  * boundary ((t+1) % observe_every == 0) and at the window end, the
- * post-round max load and empty-bin count — plus the load sum and sum of
- * squares when the moment buffers are non-NULL — into (n_obs, R) output
- * buffers.  All outputs are integers, so the Python trackers that ingest
- * them reproduce the segmented observation loop bit-for-bit.
+ * post-round max load and empty-bin count into (n_obs, R) output buffers,
+ * plus the load sum and sum of squares when the moment buffers are
+ * non-NULL, and adds the row's load histogram into an (R, hist_cap + 1)
+ * buffer when one is given (repro_obs_record in _kernel_common.h).  All
+ * outputs are integers, so the Python trackers that ingest them reproduce
+ * the segmented observation loop bit-for-bit.
  *
  * Randomness: each replica owns an independent xoshiro256++ stream whose
  * 4-word state is seeded by the caller (from a numpy SeedSequence).  A
@@ -48,33 +50,8 @@ typedef struct {
     int64_t *rounds_done;
     uint8_t *active;
     uint32_t lim; /* Lemire rejection threshold for n */
-    int64_t observe_every;
-    int64_t n_obs;
-    int32_t *obs_max;   /* (n_obs, R) or NULL */
-    int32_t *obs_empty; /* (n_obs, R) or NULL */
-    int64_t *obs_sum;   /* (n_obs, R) or NULL: load sums for moments */
-    int64_t *obs_sumsq; /* (n_obs, R) or NULL */
+    repro_obs_t obs;
 } rbb_ctx;
-
-/* Record observation slot k for replica r.  mx/empty describe the current
- * configuration; the moment sums are scanned only when requested. */
-static void rbb_record_obs(const rbb_ctx *c, int64_t r, int64_t k, int32_t mx,
-                           int64_t empty)
-{
-    c->obs_max[k * c->R + r] = mx;
-    c->obs_empty[k * c->R + r] = (int32_t)empty;
-    if (c->obs_sum) {
-        const int32_t *row = c->loads + r * c->n;
-        int64_t s = 0, ss = 0;
-        for (int64_t i = 0; i < c->n; i++) {
-            const int64_t l = row[i];
-            s += l;
-            ss += l * l;
-        }
-        c->obs_sum[k * c->R + r] = s;
-        c->obs_sumsq[k * c->R + r] = ss;
-    }
-}
 
 static void rbb_replica(void *vctx, int64_t r, int tid)
 {
@@ -85,7 +62,8 @@ static void rbb_replica(void *vctx, int64_t r, int tid)
     const int32_t thr = c->thr;
     int32_t *row = c->loads + r * n;
     rng_t *g = (rng_t *)(c->rng_state + 4 * r);
-    int64_t k = 0; /* next fused observation slot */
+    int64_t k = 0;    /* next fused observation slot */
+    int64_t over = 0; /* histogram overflow, written once at the end */
     (void)tid;
 
     for (int64_t t = 0; t < c->rounds; t++) {
@@ -146,9 +124,8 @@ static void rbb_replica(void *vctx, int64_t r, int tid)
             if (c->stop_when_legitimate)
                 c->active[r] = 0;
         }
-        if (c->n_obs &&
-            ((t + 1) % c->observe_every == 0 || t + 1 == c->rounds)) {
-            rbb_record_obs(c, r, k, mx, empty);
+        if (repro_obs_due(&c->obs, t, c->rounds)) {
+            repro_obs_record(&c->obs, row, n, r, k, mx, empty, &over);
             k++;
         }
     }
@@ -156,7 +133,7 @@ static void rbb_replica(void *vctx, int64_t r, int tid)
     /* A replica that stopped early (or was frozen on entry) keeps
      * reporting its final configuration at the remaining observation
      * points, matching what the Python segmented loop observes. */
-    if (c->n_obs && k < c->n_obs) {
+    if (k < c->obs.n_obs) {
         int32_t mx = 0;
         int64_t empty = 0;
         for (int64_t i = 0; i < n; i++) {
@@ -165,9 +142,10 @@ static void rbb_replica(void *vctx, int64_t r, int tid)
                 mx = l;
             empty += (l == 0);
         }
-        for (; k < c->n_obs; k++)
-            rbb_record_obs(c, r, k, mx, empty);
+        for (; k < c->obs.n_obs; k++)
+            repro_obs_record(&c->obs, row, n, r, k, mx, empty, &over);
     }
+    repro_obs_flush(&c->obs, r, over);
 }
 
 /* Advance the ensemble.
@@ -190,13 +168,19 @@ static void rbb_replica(void *vctx, int64_t r, int tid)
  * obs_empty      (n_obs, R) int32 empty-bin count per slot, or NULL
  * obs_sum        (n_obs, R) int64 load sum per slot, or NULL to skip moments
  * obs_sumsq      (n_obs, R) int64 load sum-of-squares per slot, or NULL
+ * hist_cap       histogram cap K: buckets 0..K, loads above K count in K
+ * obs_hist       (R, hist_cap + 1) int64 load counts summed over the
+ *                slots, added to in place, or NULL to skip the histogram
+ * obs_overflow   (R,) int64 count of loads above hist_cap, added to in
+ *                place, or NULL
  */
 REPRO_ABI void rbb_run(int32_t *loads, int64_t R, int64_t n, int64_t rounds,
              uint64_t *rng_state, double threshold, int stop_when_legitimate,
              int32_t *max_seen, int32_t *min_empty_seen, int64_t *first_legit,
              int64_t *rounds_done, uint8_t *active, int32_t n_threads,
              int64_t observe_every, int64_t n_obs, int32_t *obs_max,
-             int32_t *obs_empty, int64_t *obs_sum, int64_t *obs_sumsq)
+             int32_t *obs_empty, int64_t *obs_sum, int64_t *obs_sumsq,
+             int64_t hist_cap, int64_t *obs_hist, int64_t *obs_overflow)
 {
     const uint32_t un = (uint32_t)n;
     rbb_ctx c;
@@ -213,11 +197,8 @@ REPRO_ABI void rbb_run(int32_t *loads, int64_t R, int64_t n, int64_t rounds,
     c.rounds_done = rounds_done;
     c.active = active;
     c.lim = (uint32_t)(-un) % un;
-    c.observe_every = observe_every < 1 ? 1 : observe_every;
-    c.n_obs = (obs_max && obs_empty) ? n_obs : 0;
-    c.obs_max = obs_max;
-    c.obs_empty = obs_empty;
-    c.obs_sum = obs_sum;
-    c.obs_sumsq = obs_sumsq;
+    c.obs = repro_obs_make(R, observe_every, n_obs, obs_max, obs_empty,
+                           obs_sum, obs_sumsq, hist_cap, obs_hist,
+                           obs_overflow);
     repro_for_each_replica(&c, rbb_replica, R, n_threads);
 }

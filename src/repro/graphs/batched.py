@@ -58,7 +58,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .topology import Topology
-from ..core.batched import BatchedLoadProcess
+from ..core.batched import BatchedLoadProcess, fused_kernel_args, native_ptr
 from ..core.config import LoadConfiguration
 from ..core.native import get_kernel, native_status, resolve_n_threads
 from ..errors import ConfigurationError
@@ -276,45 +276,28 @@ class BatchedConstrainedWalks(BatchedLoadProcess):
         first64 = np.ascontiguousarray(first_legit)
         n_threads = resolve_n_threads(self._n_threads, R, kernel="walks")
         scratch, sources = self._native_scratch(n_threads)
-        if obs is None:
-            observe_every, n_obs = 1, 0
-            obs_max = obs_empty = obs_sum = obs_sumsq = None
-        else:
-            observe_every, obs_max, obs_empty, obs_sum, obs_sumsq = obs
-            n_obs = int(obs_max.shape[0])
-
-        def ptr(arr, ctype):
-            if arr is None:
-                return None  # NULL: kernel skips the optional output
-            return arr.ctypes.data_as(ctypes.POINTER(ctype))
-
         kernel(
-            ptr(loads32, ctypes.c_int32),
+            native_ptr(loads32, ctypes.c_int32),
             ctypes.c_int64(R),
             ctypes.c_int64(self._n_bins),
-            ptr(neighbors, ctypes.c_int32),
-            ptr(offsets, ctypes.c_int64),
-            ptr(degrees, ctypes.c_int32),
-            ptr(lims, ctypes.c_uint32),
+            native_ptr(neighbors, ctypes.c_int32),
+            native_ptr(offsets, ctypes.c_int64),
+            native_ptr(degrees, ctypes.c_int32),
+            native_ptr(lims, ctypes.c_uint32),
             ctypes.c_int64(rounds),
-            ptr(states, ctypes.c_uint64),
+            native_ptr(states, ctypes.c_uint64),
             ctypes.c_double(threshold),
             ctypes.c_int(1 if stop_when_legitimate else 0),
             ctypes.c_int(1 if self._constrained else 0),
-            ptr(max_seen, ctypes.c_int32),
-            ptr(min_empty, ctypes.c_int32),
-            ptr(first64, ctypes.c_int64),
-            ptr(rounds_done, ctypes.c_int64),
-            ptr(active8, ctypes.c_uint8),
-            ptr(scratch, ctypes.c_int32),
-            ptr(sources, ctypes.c_int32),
+            native_ptr(max_seen, ctypes.c_int32),
+            native_ptr(min_empty, ctypes.c_int32),
+            native_ptr(first64, ctypes.c_int64),
+            native_ptr(rounds_done, ctypes.c_int64),
+            native_ptr(active8, ctypes.c_uint8),
+            native_ptr(scratch, ctypes.c_int32),
+            native_ptr(sources, ctypes.c_int32),
             ctypes.c_int32(n_threads),
-            ctypes.c_int64(observe_every),
-            ctypes.c_int64(n_obs),
-            ptr(obs_max, ctypes.c_int32),
-            ptr(obs_empty, ctypes.c_int32),
-            ptr(obs_sum, ctypes.c_int64),
-            ptr(obs_sumsq, ctypes.c_int64),
+            *fused_kernel_args(obs),
         )
         self._loads[...] = loads32
         self._rounds_done[...] = rounds_done

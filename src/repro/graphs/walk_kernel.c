@@ -19,9 +19,11 @@
  *
  * Fused observation: when n_obs > 0 the kernel records, at every stride
  * boundary ((t+1) % observe_every == 0) and at the window end, the
- * post-round max load and empty-node count — plus the load sum and sum of
- * squares when the moment buffers are non-NULL — into (n_obs, R) output
- * buffers, mirroring rbb_kernel.c.
+ * post-round max load and empty-node count into (n_obs, R) output
+ * buffers, plus the load sum and sum of squares when the moment buffers
+ * are non-NULL, and adds the row's load histogram into an
+ * (R, hist_cap + 1) buffer when one is given — the same
+ * repro_obs_record reduction rbb_kernel.c uses.
  *
  * Randomness: each replica owns an independent xoshiro256++ stream whose
  * 4-word state is seeded by the caller (from a numpy SeedSequence), exactly
@@ -57,31 +59,8 @@ typedef struct {
     uint8_t *active;
     int32_t *scratch; /* (n_threads, n) arrivals, all-zero rows */
     int32_t *sources; /* (n_threads, n) non-empty-node compaction */
-    int64_t observe_every;
-    int64_t n_obs;
-    int32_t *obs_max;   /* (n_obs, R) or NULL */
-    int32_t *obs_empty; /* (n_obs, R) or NULL */
-    int64_t *obs_sum;   /* (n_obs, R) or NULL */
-    int64_t *obs_sumsq; /* (n_obs, R) or NULL */
+    repro_obs_t obs;
 } walks_ctx;
-
-static void walks_record_obs(const walks_ctx *c, int64_t r, int64_t k,
-                             int32_t mx, int64_t empty)
-{
-    c->obs_max[k * c->R + r] = mx;
-    c->obs_empty[k * c->R + r] = (int32_t)empty;
-    if (c->obs_sum) {
-        const int32_t *row = c->loads + r * c->n;
-        int64_t s = 0, ss = 0;
-        for (int64_t i = 0; i < c->n; i++) {
-            const int64_t l = row[i];
-            s += l;
-            ss += l * l;
-        }
-        c->obs_sum[k * c->R + r] = s;
-        c->obs_sumsq[k * c->R + r] = ss;
-    }
-}
 
 static void walks_replica(void *vctx, int64_t r, int tid)
 {
@@ -92,7 +71,8 @@ static void walks_replica(void *vctx, int64_t r, int tid)
     int32_t *scratch = c->scratch + (int64_t)tid * n;
     int32_t *sources = c->sources + (int64_t)tid * n;
     rng_t *g = (rng_t *)(c->rng_state + 4 * r);
-    int64_t k = 0; /* next fused observation slot */
+    int64_t k = 0;    /* next fused observation slot */
+    int64_t over = 0; /* histogram overflow, written once at the end */
 
     for (int64_t t = 0; t < c->rounds; t++) {
         if (!c->active[r])
@@ -178,9 +158,8 @@ static void walks_replica(void *vctx, int64_t r, int tid)
             if (c->stop_when_legitimate)
                 c->active[r] = 0;
         }
-        if (c->n_obs &&
-            ((t + 1) % c->observe_every == 0 || t + 1 == c->rounds)) {
-            walks_record_obs(c, r, k, mx, empty);
+        if (repro_obs_due(&c->obs, t, c->rounds)) {
+            repro_obs_record(&c->obs, row, n, r, k, mx, empty, &over);
             k++;
         }
     }
@@ -188,7 +167,7 @@ static void walks_replica(void *vctx, int64_t r, int tid)
     /* A replica that stopped early (or was frozen on entry) keeps
      * reporting its final configuration at the remaining observation
      * points, matching what the Python segmented loop observes. */
-    if (c->n_obs && k < c->n_obs) {
+    if (k < c->obs.n_obs) {
         int32_t mx = 0;
         int64_t empty = 0;
         for (int64_t i = 0; i < n; i++) {
@@ -197,9 +176,10 @@ static void walks_replica(void *vctx, int64_t r, int tid)
                 mx = l;
             empty += (l == 0);
         }
-        for (; k < c->n_obs; k++)
-            walks_record_obs(c, r, k, mx, empty);
+        for (; k < c->obs.n_obs; k++)
+            repro_obs_record(&c->obs, row, n, r, k, mx, empty, &over);
     }
+    repro_obs_flush(&c->obs, r, over);
 }
 
 /* Advance the walk ensemble.
@@ -227,6 +207,11 @@ static void walks_replica(void *vctx, int64_t r, int tid)
  * obs_empty      (n_obs, R) int32 empty-node count per slot, or NULL
  * obs_sum        (n_obs, R) int64 load sum per slot, or NULL to skip moments
  * obs_sumsq      (n_obs, R) int64 load sum-of-squares per slot, or NULL
+ * hist_cap       histogram cap K: buckets 0..K, loads above K count in K
+ * obs_hist       (R, hist_cap + 1) int64 load counts summed over the
+ *                slots, added to in place, or NULL to skip the histogram
+ * obs_overflow   (R,) int64 count of loads above hist_cap, added to in
+ *                place, or NULL
  */
 REPRO_ABI void walks_run(int32_t *loads, int64_t R, int64_t n, const int32_t *neighbors,
                const int64_t *offsets, const int32_t *degrees,
@@ -236,7 +221,8 @@ REPRO_ABI void walks_run(int32_t *loads, int64_t R, int64_t n, const int32_t *ne
                int64_t *first_legit, int64_t *rounds_done, uint8_t *active,
                int32_t *scratch, int32_t *sources, int32_t n_threads,
                int64_t observe_every, int64_t n_obs, int32_t *obs_max,
-               int32_t *obs_empty, int64_t *obs_sum, int64_t *obs_sumsq)
+               int32_t *obs_empty, int64_t *obs_sum, int64_t *obs_sumsq,
+               int64_t hist_cap, int64_t *obs_hist, int64_t *obs_overflow)
 {
     walks_ctx c;
     c.loads = loads;
@@ -258,11 +244,8 @@ REPRO_ABI void walks_run(int32_t *loads, int64_t R, int64_t n, const int32_t *ne
     c.active = active;
     c.scratch = scratch;
     c.sources = sources;
-    c.observe_every = observe_every < 1 ? 1 : observe_every;
-    c.n_obs = (obs_max && obs_empty) ? n_obs : 0;
-    c.obs_max = obs_max;
-    c.obs_empty = obs_empty;
-    c.obs_sum = obs_sum;
-    c.obs_sumsq = obs_sumsq;
+    c.obs = repro_obs_make(R, observe_every, n_obs, obs_max, obs_empty,
+                           obs_sum, obs_sumsq, hist_cap, obs_hist,
+                           obs_overflow);
     repro_for_each_replica(&c, walks_replica, R, n_threads);
 }

@@ -43,7 +43,12 @@ from .base import (
     as_batched,
     as_load_matrix,
 )
-from .fused import FusedSegmentStats, fused_needs_moments, supports_fused
+from .fused import (
+    FusedSegmentStats,
+    fused_hist_cap,
+    fused_needs_moments,
+    supports_fused,
+)
 from .payload import MetricPayload, concatenate_payload_maps
 from .registry import METRIC_NAMES, build_trackers, make_tracker, normalize_metric_names
 from .trackers import (
@@ -85,6 +90,7 @@ __all__ = [
     "FusedSegmentStats",
     "supports_fused",
     "fused_needs_moments",
+    "fused_hist_cap",
     # sequential (R == 1) reference trackers
     "MaxLoadTracker",
     "EmptyBinsTracker",

@@ -147,6 +147,9 @@ def concatenate_payload_maps(
         raise ConfigurationError(
             "ensemble shards disagree on observed metric names; refusing to merge"
         )
+    # iterate the first map, not the set, so the merged order (and so the
+    # key order of store shards) does not depend on string hashing
     return {
-        name: MetricPayload.concatenate([m[name] for m in maps]) for name in names
+        name: MetricPayload.concatenate([m[name] for m in maps])
+        for name in non_empty[0]
     }

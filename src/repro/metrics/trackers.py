@@ -475,9 +475,14 @@ class BatchedLoadHistogramTracker(_BatchedTracker):
     ``counts[r, k]`` is the number of (observed round, bin) pairs of
     replica ``r`` with load exactly ``k``; loads above ``max_tracked_load``
     are clipped into the last bucket and counted in ``overflow``.
+
+    Loads are integers, so the kernel-side histogram
+    (:meth:`ingest_fused`) merges into state bit-identical to
+    Python-side observation.
     """
 
     metric_name = "histogram"
+    supports_fused_ingest = True
 
     def __init__(self, max_tracked_load: int = 256) -> None:
         super().__init__()
@@ -503,6 +508,21 @@ class BatchedLoadHistogramTracker(_BatchedTracker):
         self.counts += np.bincount(
             flat, minlength=self.n_replicas * (K + 1)
         ).reshape(self.n_replicas, K + 1)
+
+    def ingest_fused(self, stats: FusedSegmentStats) -> None:
+        """Merge kernel-computed histogram counts and overflow."""
+        if stats.hist_counts is None or stats.hist_overflow is None:
+            raise ConfigurationError(
+                "histogram tracker needs fused hist_counts/hist_overflow blocks"
+            )
+        if stats.hist_counts.shape[1] != self.max_tracked_load + 1:
+            raise ConfigurationError(
+                f"fused histogram has {stats.hist_counts.shape[1]} buckets, "
+                f"this tracker keeps {self.max_tracked_load + 1}"
+            )
+        self._bind_fused(stats)
+        self.counts += stats.hist_counts
+        self.overflow += stats.hist_overflow
 
     def distribution(self) -> np.ndarray:
         """Row-normalized ``(R, K + 1)`` occupancy distribution."""

@@ -210,6 +210,9 @@ class ResultStore:
         self.directory = directory
         self._records = records
         self._lines = lines
+        #: point_id -> manifest record, so appends and point lookups stay
+        #: O(1) however many points the store holds.
+        self._by_id: Dict[str, dict] = {r["point_id"]: r for r in records}
         self._shards: Dict[str, Dict[str, np.ndarray]] = {}
         self._header: Optional[dict] = None
         if directory is not None:
@@ -308,7 +311,7 @@ class ResultStore:
     # ------------------------------------------------------------------
     def completed_point_ids(self) -> Set[str]:
         """Point ids already present in the manifest (the resume checkpoint)."""
-        return {record["point_id"] for record in self._records}
+        return set(self._by_id)
 
     def append_point(
         self,
@@ -321,7 +324,7 @@ class ResultStore:
         seed_entropy: Optional[int] = None,
     ) -> dict:
         """Persist one completed point: shard first, then the manifest line."""
-        if point_id in self.completed_point_ids():
+        if point_id in self._by_id:
             raise ConfigurationError(
                 f"point {point_id} already recorded; the store is append-only"
             )
@@ -360,6 +363,7 @@ class ResultStore:
                 handle.write(line)
         self._records.append(json.loads(line))
         self._lines.append(line)
+        self._by_id[point_id] = self._records[-1]
         return self._records[-1]
 
     # ------------------------------------------------------------------
@@ -415,9 +419,7 @@ class ResultStore:
             if point_id not in self._shards:
                 raise ConfigurationError(f"unknown point id {point_id!r}")
             return {k: np.array(v, copy=True) for k, v in self._shards[point_id].items()}
-        record = next(
-            (r for r in self._records if r["point_id"] == point_id), None
-        )
+        record = self._by_id.get(point_id)
         if record is None:
             raise ConfigurationError(f"unknown point id {point_id!r}")
         with np.load(self.directory / record["shard"]) as payload:

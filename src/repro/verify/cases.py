@@ -84,14 +84,15 @@ def native_kernel_available(kernel: str = "rbb") -> bool:
 
 def _rbb_engine_matrix(R: int, smoke: bool) -> List[ConformanceCase]:
     """The plain-process engine cross product — the heart of the catalog."""
-    # max_load/empty_bins observers ride along so the fused in-kernel
-    # observation path (and its segmented fallback) is what actually runs
+    # max_load/empty_bins/histogram observers ride along so the fused
+    # in-kernel observation path (histogram writes included) and its
+    # segmented fallback are what actually run
     spec = {
         "n_bins": 3,
         "n_replicas": R,
         "rounds": 4,
         "start": "all_in_one",
-        "metrics": ("max_load", "empty_bins"),
+        "metrics": ("max_load", "empty_bins", "histogram"),
     }
     horizons = (1, 4) if smoke else (1, 2, 4, 8)
     cases = [
@@ -137,7 +138,7 @@ def _rbb_engine_matrix(R: int, smoke: bool) -> List[ConformanceCase]:
                     "n_replicas": R,
                     "rounds": 6,
                     "start": "all_in_one",
-                    "metrics": ("max_load", "empty_bins"),
+                    "metrics": ("max_load", "empty_bins", "histogram"),
                 },
                 kernel="native",
                 n_threads=2,

@@ -390,7 +390,8 @@ def fused_vs_segmented(
     Runs the same spec twice with the native kernel — once with in-kernel
     observation, once with ``REPRO_NATIVE_FUSED=0`` forcing the segmented
     reference loop — and demands identical final loads, windows, hitting
-    rounds, and tracker summaries.
+    rounds, and tracker payloads (observed rounds, series, summaries and
+    arrays).
     """
     config = dict(spec_config)
     requested = config.get("metrics", ())
@@ -451,8 +452,12 @@ def fused_vs_segmented(
     )
     for metric_name, payload in fused_result.metrics.items():
         other = seg_result.metrics[metric_name]
-        for key, vector in payload.summaries.items():
-            compare(f"{metric_name}.{key}", vector, other.summaries[key])
+        compare(f"{metric_name}.rounds", payload.rounds, other.rounds)
+        for part in ("series", "summaries", "arrays"):
+            mine, theirs = getattr(payload, part), getattr(other, part)
+            compare(f"{metric_name}.{part}", sorted(mine), sorted(theirs))
+            for key in sorted(mine.keys() & theirs.keys()):
+                compare(f"{metric_name}.{key}", mine[key], theirs[key])
     return violations
 
 

@@ -480,6 +480,22 @@ class TestMetricPayload:
         assert merged.series["max_load"].tolist() == [[4, 9], [3, 9], [2, 9]]
         assert merged.summaries["window_max"].tolist() == [4, 9]
 
+    def test_payload_maps_merge_in_spec_order(self):
+        """The merged map keeps the shards' metric order, so store shards
+        list their arrays in the same order under every string hash."""
+        from repro.metrics import concatenate_payload_maps
+
+        names = ["moments", "max_load", "histogram", "empty_bins"]
+
+        def shard():
+            return {
+                name: MetricPayload(name=name, summaries={"x": np.array([1])})
+                for name in names
+            }
+
+        merged = concatenate_payload_maps([shard(), shard()])
+        assert list(merged) == names
+
     def test_concatenate_rejects_mismatches(self):
         a = MetricPayload(name="max_load", summaries={"window_max": np.array([1])})
         b = MetricPayload(name="empty_bins", summaries={"window_min": np.array([1])})

@@ -24,7 +24,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.batched import BatchedRepeatedBallsIntoBins
+from repro.core.batched import (
+    BatchedLoadProcess,
+    BatchedRepeatedBallsIntoBins,
+    make_ensemble_initial,
+)
 from repro.core.native import (
     available_cpu_count,
     native_available,
@@ -35,6 +39,7 @@ from repro.graphs.batched import BatchedConstrainedWalks
 from repro.graphs.generators import resolve_topology
 from repro.metrics import (
     METRIC_NAMES,
+    BatchedLoadHistogramTracker,
     BatchedLoadMomentsTracker,
     FusedSegmentStats,
     build_trackers,
@@ -54,10 +59,9 @@ needs_native_walks = pytest.mark.skipif(
 THREAD_COUNTS = (1, 2, max(2, available_cpu_count()))
 
 #: Metrics whose trackers ingest in-kernel segment statistics; the rest
-#: (trace, histogram, bin_emptying) need full load matrices, so their
-#: presence in an observer list sends the whole run down the segmented
-#: fallback path.
-FUSED_METRICS = "max_load,empty_bins,legitimacy,moments"
+#: (trace, bin_emptying) need full load matrices, so their presence in an
+#: observer list sends the whole run down the segmented fallback path.
+FUSED_METRICS = "max_load,empty_bins,legitimacy,moments,histogram"
 
 
 def _rbb(n_threads, **kwargs):
@@ -83,21 +87,48 @@ def _payloads(spec_metrics, process, run_kwargs):
 
 
 def _assert_payloads_equal(a, b, context=""):
+    """Observed rounds, series, summaries and arrays all bit-identical."""
     assert set(a) == set(b)
     for name in a:
         pa, pb = a[name], b[name]
-        assert set(pa.summaries) == set(pb.summaries), (context, name)
-        for key in pa.summaries:
-            assert np.array_equal(pa.summaries[key], pb.summaries[key]), (
-                context,
-                name,
-                key,
-            )
-        assert set(pa.series) == set(pb.series), (context, name)
-        for key in pa.series:
-            assert np.array_equal(
-                np.asarray(pa.series[key]), np.asarray(pb.series[key])
-            ), (context, name, key)
+        assert np.array_equal(pa.rounds, pb.rounds), (context, name, "rounds")
+        for part in ("series", "summaries", "arrays"):
+            da, db = getattr(pa, part), getattr(pb, part)
+            assert set(da) == set(db), (context, name, part)
+            for key in da:
+                assert np.array_equal(
+                    np.asarray(da[key]), np.asarray(db[key])
+                ), (context, name, part, key)
+
+
+@pytest.fixture
+def fused_calls(monkeypatch):
+    """Count the fused kernel calls made while a test runs."""
+    calls = []
+    real = BatchedLoadProcess._run_native_fused
+
+    def spy(self, *args, **kwargs):
+        calls.append(type(self).__name__)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(BatchedLoadProcess, "_run_native_fused", spy)
+    return calls
+
+
+def _fused_and_segmented(monkeypatch, run):
+    """``run()`` once fused and once with ``REPRO_NATIVE_FUSED=0``."""
+    monkeypatch.delenv("REPRO_NATIVE_FUSED", raising=False)
+    fused = run()
+    monkeypatch.setenv("REPRO_NATIVE_FUSED", "0")
+    segmented = run()
+    monkeypatch.delenv("REPRO_NATIVE_FUSED")
+    return fused, segmented
+
+
+def _ensemble_payloads(spec_kwargs):
+    spec = EnsembleSpec(**spec_kwargs)
+    result = run_ensemble(spec, seed=11, kernel="native", n_threads=2)
+    return result.final_loads, result.metrics
 
 
 # ---------------------------------------------------------------------
@@ -233,14 +264,109 @@ class TestFusedObservation:
     def test_fusable_tracker_set(self):
         """Which registered trackers ride the fused fast path.
 
-        The scalar-statistics trackers must stay fusable (losing one
-        silently forfeits the fused speedup for every run that requests
-        it); the matrix-shaped trackers cannot be reconstructed from
-        segment statistics, so they must *not* claim fusion support.
+        The trackers the kernels can feed (scalar statistics, moments and
+        the load histogram) must stay fusable: losing one silently
+        forfeits the fused speedup for every run that requests it.  The
+        trace and bin-emptying trackers need the full load matrix, so
+        they must *not* claim fusion support.
         """
         fusable = set(FUSED_METRICS.split(","))
         for name, tracker in build_trackers(",".join(METRIC_NAMES)):
             assert supports_fused(tracker) == (name in fusable), name
+
+
+@needs_native
+class TestFusedHistogram:
+    """The load histogram accumulated inside the kernels equals the
+    segmented loop's, with the whole observed window one fused call."""
+
+    METRICS = "histogram,moments"
+
+    @pytest.mark.parametrize("observe_every", [1, 7, 16, 1000])
+    def test_rbb(self, observe_every, monkeypatch, fused_calls):
+        kwargs = dict(rounds=120, observe_every=observe_every)
+        (fused_loads, fused), (seg_loads, segmented) = _fused_and_segmented(
+            monkeypatch, lambda: _payloads(self.METRICS, _rbb(2), kwargs)
+        )
+        assert fused_calls == ["BatchedRepeatedBallsIntoBins"]
+        assert np.array_equal(fused_loads, seg_loads)
+        _assert_payloads_equal(fused, segmented, f"stride={observe_every}")
+        counts = fused["histogram"].arrays["counts"]
+        n_obs = -(-120 // observe_every)
+        assert (counts.sum(axis=1) == n_obs * 96).all()
+
+    @needs_native_walks
+    def test_walks_on_a_torus(self, monkeypatch, fused_calls):
+        def run():
+            process = BatchedConstrainedWalks(
+                resolve_topology("torus:8x8"), 17, seed=3, kernel="native",
+                n_threads=2,
+            )
+            return _payloads(self.METRICS, process, dict(rounds=90, observe_every=5))
+
+        (fused_loads, fused), (seg_loads, segmented) = _fused_and_segmented(
+            monkeypatch, run
+        )
+        assert fused_calls == ["BatchedConstrainedWalks"]
+        assert np.array_equal(fused_loads, seg_loads)
+        _assert_payloads_equal(fused, segmented, "walks")
+
+    def test_faulty_across_adversary_segments(self, monkeypatch, fused_calls):
+        spec = dict(
+            n_bins=48, n_replicas=12, rounds=100, process="faulty",
+            adversary="concentrate", fault_period=30, observe_every=7,
+            metrics=self.METRICS,
+        )
+        (fused_loads, fused), (seg_loads, segmented) = _fused_and_segmented(
+            monkeypatch, lambda: _ensemble_payloads(spec)
+        )
+        assert len(fused_calls) > 1  # one fused call per adversary segment
+        assert np.array_equal(fused_loads, seg_loads)
+        _assert_payloads_equal(fused, segmented, "faulty")
+
+    def test_burst_recovery_scenario(self, monkeypatch, fused_calls):
+        spec = dict(
+            n_bins=40, n_replicas=10, rounds=60, observe_every=4,
+            scenario="burst_recovery:count=32,at=9", metrics=self.METRICS,
+        )
+        (fused_loads, fused), (seg_loads, segmented) = _fused_and_segmented(
+            monkeypatch, lambda: _ensemble_payloads(spec)
+        )
+        assert fused_calls
+        assert np.array_equal(fused_loads, seg_loads)
+        _assert_payloads_equal(fused, segmented, "burst_recovery")
+
+    def test_forced_overflow(self, monkeypatch, fused_calls):
+        def run():
+            tracker = BatchedLoadHistogramTracker(max_tracked_load=2)
+            process = BatchedRepeatedBallsIntoBins(
+                32, 9, initial=make_ensemble_initial("all_in_one", 32, 9),
+                seed=5, kernel="native", n_threads=2,
+            )
+            process.run(40, observers=[tracker], observe_every=3)
+            return tracker.payload()
+
+        fused, segmented = _fused_and_segmented(monkeypatch, run)
+        assert fused_calls == ["BatchedRepeatedBallsIntoBins"]
+        assert (fused.summaries["overflow"] > 0).all()
+        _assert_payloads_equal(
+            {"histogram": fused}, {"histogram": segmented}, "overflow"
+        )
+
+    def test_two_caps_fall_back_to_segmented(self, monkeypatch, fused_calls):
+        def run():
+            trackers = [
+                BatchedLoadHistogramTracker(max_tracked_load=3),
+                BatchedLoadHistogramTracker(max_tracked_load=8),
+                BatchedLoadMomentsTracker(),
+            ]
+            process = _rbb(2, initial=make_ensemble_initial("all_in_one", 96, 33))
+            process.run(50, observers=trackers, observe_every=6)
+            return {str(i): t.payload() for i, t in enumerate(trackers)}
+
+        fused, segmented = _fused_and_segmented(monkeypatch, run)
+        assert fused_calls == []
+        _assert_payloads_equal(fused, segmented, "two caps")
 
 
 # ---------------------------------------------------------------------
@@ -272,6 +398,41 @@ class TestMomentsTracker:
         )
         with pytest.raises(ConfigurationError):
             tracker.ingest_fused(stats)
+
+
+def test_fused_ingest_requires_histogram_blocks():
+    stats = FusedSegmentStats(
+        rounds=np.array([1], dtype=np.int64),
+        max_load=np.ones((1, 2), dtype=np.int64),
+        empty_bins=np.zeros((1, 2), dtype=np.int64),
+        n_bins=8,
+    )
+    with pytest.raises(ConfigurationError):
+        BatchedLoadHistogramTracker(max_tracked_load=4).ingest_fused(stats)
+    blocks = dict(
+        hist_counts=np.zeros((2, 5), dtype=np.int64),
+        hist_overflow=np.zeros(2, dtype=np.int64),
+    )
+    with_blocks = FusedSegmentStats(
+        rounds=stats.rounds, max_load=stats.max_load,
+        empty_bins=stats.empty_bins, n_bins=8, **blocks,
+    )
+    with pytest.raises(ConfigurationError):  # a cap the blocks do not have
+        BatchedLoadHistogramTracker(max_tracked_load=7).ingest_fused(with_blocks)
+    BatchedLoadHistogramTracker(max_tracked_load=4).ingest_fused(with_blocks)
+    with pytest.raises(ConfigurationError):  # counts without overflow
+        FusedSegmentStats(
+            rounds=stats.rounds, max_load=stats.max_load,
+            empty_bins=stats.empty_bins, n_bins=8,
+            hist_counts=blocks["hist_counts"],
+        )
+    with pytest.raises(ConfigurationError):  # wrong R
+        FusedSegmentStats(
+            rounds=stats.rounds, max_load=stats.max_load,
+            empty_bins=stats.empty_bins, n_bins=8,
+            hist_counts=np.zeros((3, 5), dtype=np.int64),
+            hist_overflow=np.zeros(3, dtype=np.int64),
+        )
 
 
 # ---------------------------------------------------------------------

@@ -194,6 +194,22 @@ class TestResultStore:
         with pytest.raises(ConfigurationError):
             memory.replicas("nope")
 
+    def test_point_lookups_after_reopen(self, tmp_path):
+        """The point_id index is rebuilt on open and extended on append."""
+        store = ResultStore.create(tmp_path / "s")
+        store.write_header({})
+        first = _append_demo_point(store, index=0, n_bins=8)
+        reopened = ResultStore.open(tmp_path / "s")
+        second = _append_demo_point(reopened, index=1, n_bins=12)
+        assert reopened.completed_point_ids() == {
+            first["point_id"],
+            second["point_id"],
+        }
+        for record in (first, second):
+            assert reopened.replicas(record["point_id"])["rounds"].shape == (4,)
+        with pytest.raises(ConfigurationError, match="append-only"):
+            _append_demo_point(reopened, index=0, n_bins=8)
+
     def test_manifest_survives_reopen(self, tmp_path):
         store = ResultStore.create(tmp_path / "s")
         store.write_header({})

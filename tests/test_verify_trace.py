@@ -161,3 +161,24 @@ class TestFusedVsSegmented:
             {**BASE_SPEC, "n_replicas": 16}, seed=2, n_threads=2
         )
         assert violations == [], [v.describe() for v in violations]
+
+    def test_bit_identical_with_histogram(self):
+        spec = {**BASE_SPEC, "n_replicas": 16, "metrics": "histogram,moments"}
+        violations = fused_vs_segmented(spec, seed=3, n_threads=2)
+        assert violations == [], [v.describe() for v in violations]
+
+    def test_wrong_fused_histogram_is_caught(self, monkeypatch):
+        """The comparator reads payload arrays, where histogram counts live."""
+        from repro.metrics import BatchedLoadHistogramTracker
+
+        real = BatchedLoadHistogramTracker.ingest_fused
+
+        def off_by_one(self, stats):
+            real(self, stats)
+            self.counts[:, 0] += 1
+
+        monkeypatch.setattr(BatchedLoadHistogramTracker, "ingest_fused", off_by_one)
+        spec = {**BASE_SPEC, "metrics": "histogram"}
+        violations = fused_vs_segmented(spec, seed=4)
+        names = {v.invariant for v in violations}
+        assert "fused_equal:histogram.counts" in names, names
