@@ -14,6 +14,7 @@ scheduler's oversubscription guard.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import signal
 import subprocess
@@ -433,6 +434,130 @@ def test_fused_ingest_requires_histogram_blocks():
             hist_counts=np.zeros((3, 5), dtype=np.int64),
             hist_overflow=np.zeros(3, dtype=np.int64),
         )
+
+
+# ---------------------------------------------------------------------
+# Golden digests: native trajectories pinned bit-for-bit
+# ---------------------------------------------------------------------
+def _golden_digest(result, payloads) -> str:
+    """sha256 over a run's window outputs and its metric payloads.
+
+    Integer arrays are hashed exactly.  Float arrays are derived in
+    Python from the kernel's integer outputs, so they are rounded before
+    hashing to keep the digest independent of numpy's summation order.
+    """
+    digest = hashlib.sha256()
+
+    def feed(label, arr):
+        arr = np.asarray(arr)
+        if arr.dtype.kind == "f":
+            arr = np.round(arr.astype(np.float64), 9)
+        else:
+            arr = arr.astype(np.int64)
+        digest.update(f"{label}:{arr.shape}".encode())
+        digest.update(np.ascontiguousarray(arr).tobytes())
+
+    feed("final_loads", result.final_loads)
+    feed("max_load_seen", result.max_load_seen)
+    feed("min_empty_bins_seen", result.min_empty_bins_seen)
+    feed("first_legitimate_round", result.first_legitimate_round)
+    for name in sorted(payloads):
+        payload = payloads[name]
+        feed(f"{name}.rounds", payload.rounds)
+        for part in ("series", "summaries", "arrays"):
+            block = getattr(payload, part)
+            for key in sorted(block):
+                feed(f"{name}.{part}.{key}", block[key])
+    return digest.hexdigest()
+
+
+def _golden_run(process, trackers=(), **run_kwargs):
+    observers = [tracker for _, tracker in trackers]
+    result = process.run(observers=observers or None, **run_kwargs)
+    assert result.kernel == "native"
+    return _golden_digest(
+        result, {name: tracker.payload() for name, tracker in trackers}
+    )
+
+
+def _golden_walks(topology, n_threads, **kwargs):
+    return BatchedConstrainedWalks(
+        resolve_topology(topology), 17, seed=3, kernel="native",
+        n_threads=n_threads, **kwargs,
+    )
+
+
+def _golden_cases():
+    """name -> run(n_threads) returning that run's digest."""
+    all_in_one = make_ensemble_initial("all_in_one", 96, 33)
+    torus_all_in_one = make_ensemble_initial("all_in_one", 64, 17)
+    return {
+        # fused observation over the clique rule
+        "rbb": lambda t: _golden_run(
+            _rbb(t, initial=all_in_one), build_trackers(FUSED_METRICS),
+            rounds=120, observe_every=8,
+        ),
+        # segmented observation with frozen replicas
+        "rbb-stop-observed": lambda t: _golden_run(
+            _rbb(t, initial=all_in_one), build_trackers(FUSED_METRICS),
+            rounds=600, observe_every=16, stop_when_legitimate=True,
+        ),
+        "rbb-stop": lambda t: _golden_run(
+            _rbb(t, initial=all_in_one), rounds=3000, stop_when_legitimate=True,
+        ),
+        # every node non-empty: the dense compaction path
+        "walks-torus-dense": lambda t: _golden_run(
+            _golden_walks("torus:8x8", t), build_trackers(FUSED_METRICS),
+            rounds=90, observe_every=5,
+        ),
+        # tokens pile up on the hub: the sparse guarded path
+        "walks-star-sparse": lambda t: _golden_run(
+            _golden_walks("star:64", t), build_trackers(FUSED_METRICS),
+            rounds=90, observe_every=5,
+        ),
+        "walks-unconstrained": lambda t: _golden_run(
+            _golden_walks("cycle:64", t, constrained=False),
+            build_trackers(FUSED_METRICS), rounds=60, observe_every=4,
+        ),
+        "walks-stop": lambda t: _golden_run(
+            _golden_walks("torus:8x8", t, initial=torus_all_in_one),
+            rounds=2000, stop_when_legitimate=True,
+        ),
+        "rbb-overflow": lambda t: _golden_run(
+            _rbb(t, initial=all_in_one),
+            [("histogram", BatchedLoadHistogramTracker(max_tracked_load=2))],
+            rounds=40, observe_every=3,
+        ),
+        "walks-overflow": lambda t: _golden_run(
+            _golden_walks("torus:8x8", t, initial=torus_all_in_one),
+            [("histogram", BatchedLoadHistogramTracker(max_tracked_load=2))],
+            rounds=40, observe_every=3,
+        ),
+    }
+
+
+#: Digests of the native kernels' outputs on the cases above.  A change
+#: to any kernel's random-stream consumption, destination rule, window
+#: bookkeeping or fused reductions changes them; a pure refactor must not.
+GOLDEN_DIGESTS = {
+    "rbb": "4893d40186bbbfb1c9afc7d1d48efa8618b27fb07740a349258910ff723f2bb9",
+    "rbb-overflow": "ce86f66dfd1af2c31c07f1088a58025a9936372e4aaa12c3c3966dd9144ebcec",
+    "rbb-stop": "dfa6515a7c27c2776b38b7d63125f08a300f223f1ac262c1b61afb8a82d9610b",
+    "rbb-stop-observed": "4e19223bf212c1f4db7173406644d2827057f71644d633e6aa5492fdae71b92d",
+    "walks-overflow": "b596ff64cc5ce0da352750ac69dd4a93df9602ce86bd660f77b4f00a95f8346c",
+    "walks-star-sparse": "6e0865651e67511ed3b47aa5323dc34eba0e773f8dd18b3e3f3b1e7099a64dc1",
+    "walks-stop": "2c97f54d257b5288fd113c0361c84ac46a63c61a4aee5e9bee81fbacc2eca8ce",
+    "walks-torus-dense": "bdb65bdf81e68b6698c3088ac89dddd3bee1e0bf8278eb123854a4f82a3fe515",
+    "walks-unconstrained": "600e9d643a9f05031ea4e366b74a73212615d4b27d2c4890d6613fb642ef0433",
+}
+
+
+@needs_native
+@pytest.mark.parametrize("n_threads", (1, 2))
+@pytest.mark.parametrize("case", sorted(GOLDEN_DIGESTS))
+def test_golden_digests(case, n_threads, monkeypatch):
+    monkeypatch.delenv("REPRO_NATIVE_FUSED", raising=False)
+    assert _golden_cases()[case](n_threads) == GOLDEN_DIGESTS[case]
 
 
 # ---------------------------------------------------------------------
