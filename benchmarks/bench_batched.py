@@ -395,7 +395,7 @@ def measure(scale: Scale = FULL) -> Dict[str, dict]:
         scale.walks_rounds,
         w_per_replica * scale.numpy_replicas / wn,
     )
-    if native_available("walks"):
+    if native_available():
         wnat = _timed(
             _spec(scale, scale.native_replicas, "graph_walks"), "native"
         )
@@ -469,12 +469,9 @@ def test_batched_engine_speedup():
 
         pytest.skip(
             f"native kernel unavailable ({native_status()}); the threaded "
-            "speedup targets require the compiled kernels"
+            "speedup targets require the compiled kernel"
         )
-    assert "walks_native" in cases, (
-        "a C compiler is available (the rbb kernel compiled) but the walk "
-        f"kernel did not: {native_status('walks')}"
-    )
+    assert "walks_native" in cases, "the native kernel ran rbb but not walks"
     failures = check_targets(cases)
     assert not failures, "; ".join(failures)
 
@@ -491,14 +488,7 @@ def main(scale: Scale = FULL) -> int:
         f"R={scale.numpy_replicas} numpy / R={scale.baseline_replicas} "
         f"sequential sample, n={N_BINS} bins; {cores} visible core(s)"
     )
-    print(
-        f"native rbb kernel  : {native_status()} "
-        f"[threading: {native_threading()}]"
-    )
-    print(
-        f"native walk kernel : {native_status('walks')} "
-        f"[threading: {native_threading('walks')}]"
-    )
+    print(f"native kernel: {native_status()} [threading: {native_threading()}]")
     if scale.enforce:
         print(
             f"enforced floors: rbb {prorated(RBB_TARGET, RBB_PER_CORE_FLOOR):.1f}x "

@@ -11,7 +11,7 @@ Usage::
     PYTHONPATH=src python benchmarks/record.py --smoke          # CI smoke
     PYTHONPATH=src python benchmarks/record.py --out /tmp/b.json
 
-Entries record the scale, the visible core count, and each kernel's
+Entries record the scale, the visible core count, and the kernel's
 threading backend, because the speedup floors are pro-rated by core count
 (see ``bench_batched.prorated``): a 21x entry from a 1-core container and
 a 140x entry from a 16-core workstation are both honest, and the ledger
@@ -76,10 +76,8 @@ def record(scale, out: Path) -> dict:
         "scale": scale.name,
         "host": {
             "cores": available_cpu_count(),
-            "rbb_kernel": native_status("rbb"),
-            "rbb_threading": native_threading("rbb"),
-            "walks_kernel": native_status("walks"),
-            "walks_threading": native_threading("walks"),
+            "kernel": native_status(),
+            "threading": native_threading(),
         },
         "cases": cases,
     }

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Run a command against sanitizer-instrumented native kernels.
+# Run a command against the sanitizer-instrumented native kernel.
 #
 # Usage:
 #   scripts/with_sanitizer.sh <asan|ubsan|tsan> <command...>
@@ -8,8 +8,8 @@
 # The script exports REPRO_SANITIZE (selecting the instrumented build
 # variant in repro.core.native), resolves the sanitizer runtime that a
 # stock CPython needs preloaded (ASan/TSan), sets sane *SAN_OPTIONS
-# defaults, and then — before running anything — asserts that both
-# kernels actually load instrumented.  A sanitizer leg that silently
+# defaults, and then — before running anything — asserts that the kernel
+# library actually loads instrumented.  A sanitizer leg that silently
 # fell back to the numpy kernels would test nothing, so the fallback is
 # an error here, never a skip.
 #
@@ -36,7 +36,7 @@ runtime=""
 case "$REPRO_SANITIZE" in
     asan)
         runtime="$("$CC_BIN" -print-file-name=libasan.so)"
-        # The kernels are leak-checked by their own tests; Python's
+        # The kernel is leak-checked by its own tests; Python's
         # allocator noise would drown real reports.
         export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=0}"
         ;;
@@ -76,16 +76,14 @@ if runtime:
 
 probe = (
     "from repro.core.native import native_available, native_status, sanitize_mode\n"
-    "mode = sanitize_mode()\n"
-    "for kernel in ('rbb', 'walks'):\n"
-    "    status = native_status(kernel)\n"
-    "    assert native_available(kernel), f'{kernel}: {status}'\n"
-    "    assert f'[sanitize={mode}]' in status, f'{kernel}: {status}'\n"
-    "    print(f'[with_sanitizer] {kernel}: {status}', flush=True)\n"
+    "status = native_status()\n"
+    "assert native_available(), status\n"
+    "assert f'[sanitize={sanitize_mode()}]' in status, status\n"
+    "print(f'[with_sanitizer] {status}', flush=True)\n"
 )
 rc = subprocess.run([sys.executable, "-c", probe], env=env).returncode
 if rc != 0:
-    print("with_sanitizer.sh: instrumented kernels failed to load", file=sys.stderr)
+    print("with_sanitizer.sh: instrumented kernel failed to load", file=sys.stderr)
     sys.exit(rc)
 sys.exit(subprocess.run(command, env=env).returncode)
 PY

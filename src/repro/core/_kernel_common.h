@@ -1,13 +1,13 @@
-/* Shared runtime for the compiled batched kernels (rbb_kernel.c,
- * graphs/walk_kernel.c): the xoshiro256++ generator, Lemire's unbiased
- * bounded-integer reduction, the replica-axis threading layer, and the
- * fused-observation row reduction.
+/* Runtime of the compiled batched kernel (ensemble_kernel.c): the
+ * xoshiro256++ generator, Lemire's unbiased bounded-integer reduction,
+ * the replica-axis threading layer, and the fused-observation row
+ * reduction.
  *
  * Threading model
  * ---------------
  * Replicas are embarrassingly parallel: each one owns its load row, its
- * RNG state, and its slots in every output vector, so the kernels simply
- * fan a per-replica function out over up to `n_threads` OS threads.  The
+ * RNG state, and its slots in every output vector, so the kernel simply
+ * fans a per-replica function out over up to `n_threads` OS threads.  The
  * backend is chosen at compile time by repro.core.native, which tries the
  * flag variants in order:
  *
@@ -16,7 +16,7 @@
  *                          (REPRO_THREAD_MODEL 1)
  *   (neither)           -> serial execution (REPRO_THREAD_MODEL 0)
  *
- * Every kernel .so exports repro_threading_model() so the Python loader
+ * The kernel .so exports repro_threading_model() so the Python loader
  * can report which backend the cached binary actually has.  Work is
  * handed out dynamically (one replica at a time) in both threaded
  * backends, so early-stopped replicas do not leave threads idle.
@@ -35,7 +35,7 @@
  * expands to nothing; it exists so that `repro lint` (repro.lint.abi)
  * can find every exported definition and cross-check its parameter
  * list against the ctypes declaration in repro.core.native.  Every
- * non-static function in the kernels must carry it. */
+ * non-static function in the kernel must carry it. */
 #define REPRO_ABI
 
 /* ------------------------------------------------------------------ */
@@ -66,7 +66,7 @@ static inline uint64_t next64(rng_t *g)
 }
 
 /* Two 32-bit lanes per 64-bit draw; callers reset the buffer wherever
- * their stream definition demands (the walk kernel resets per round). */
+ * their stream definition demands (the CSR rules reset per round). */
 typedef struct {
     rng_t *g;
     uint64_t buf;
@@ -294,7 +294,7 @@ static void repro_for_each_replica(void *ctx, repro_replica_fn fn, int64_t R,
 /* Fused observation                                                   */
 /* ------------------------------------------------------------------ */
 
-/* The fused-observation outputs both kernels fill (the Python side is
+/* The fused-observation outputs the kernel fills (the Python side is
  * repro.metrics.fused.FusedSegmentStats).  Per-point blocks are
  * (n_obs, R); the load histogram is (R, hist_cap + 1) and, with the
  * overflow vector, sums over every observation point of the window. */
@@ -341,10 +341,10 @@ static inline int repro_obs_due(const repro_obs_t *o, int64_t t,
 }
 
 /* Record observation slot k of replica r, whose n-bin row currently has
- * max load mx and `empty` empty bins (the kernels keep both as by-products
- * of the round).  When moments or the histogram are requested, one pass
- * over the row yields the sum, the sum of squares and the bucket counts
- * together.  Histogram overflow goes to *overflow, a local of the caller
+ * max load mx and `empty` empty bins (the round loop keeps both as
+ * by-products of the round).  When moments or the histogram are
+ * requested, one pass over the row yields the sum, the sum of squares and
+ * the bucket counts together.  Histogram overflow goes to *overflow, a local of the caller
  * written out once per replica by repro_obs_flush. */
 static void repro_obs_record(const repro_obs_t *o, const int32_t *row,
                              int64_t n, int64_t r, int64_t k, int32_t mx,

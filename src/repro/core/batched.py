@@ -30,7 +30,7 @@ Two kernels drive the repeated balls-into-bins update:
     the same seed it consumes the generator identically and reproduces the
     sequential trajectory step for step.
 ``native`` (fast)
-    A small C kernel (see ``rbb_kernel.c``) compiled on demand and driven
+    A small C kernel (see ``ensemble_kernel.c``) compiled on demand and driven
     through :mod:`ctypes`; each replica owns an independent xoshiro256++
     stream seeded from the same root seed.  Trajectories differ from the
     numpy kernel (different generator) but follow the same distribution;
@@ -64,7 +64,7 @@ from typing import Dict, List, Optional, Protocol, Union, runtime_checkable
 import numpy as np
 
 from .config import DEFAULT_BETA, LoadConfiguration, legitimacy_threshold
-from .native import get_kernel, native_status, resolve_n_threads
+from .native import DEST_CLIQUE, get_kernel, native_status, resolve_n_threads
 from ..errors import ConfigurationError, SimulationError
 from ..metrics.base import BatchedObserverList
 from ..metrics.fused import (
@@ -115,8 +115,8 @@ class FusedBuffers:
 
 
 def fused_kernel_args(obs: Optional[FusedBuffers]) -> tuple:
-    """The kernels' fused-observation arguments after ``n_threads``
-    (``_obs_tail`` in :mod:`repro.core.native`); ``None`` observes
+    """The kernel's fused-observation arguments after ``n_threads``
+    (see ``ensemble_run`` in :mod:`repro.core.native`); ``None`` observes
     nothing (``n_obs = 0`` and NULL buffers)."""
     if obs is None:
         return (
@@ -397,9 +397,11 @@ class BatchedLoadProcess:
     Holds the ``(R, n)`` load matrix, per-replica round counters and
     activity masks, the window-metric ``run`` loop, and the
     ball-conservation invariant.  Subclasses define one round of dynamics by
-    implementing :meth:`_advance`; :class:`BatchedRepeatedBallsIntoBins`
-    additionally overrides :meth:`_run_window` to dispatch to the compiled
-    kernel.
+    implementing :meth:`_advance`.  A subclass whose round the compiled
+    kernel also runs names its process family in :attr:`native_family` and
+    supplies the kernel's destination-rule arguments through
+    :meth:`_native_rule`; everything else about a native run (dispatch,
+    marshalling, segmented and fused observation) lives here once.
 
     Parameters
     ----------
@@ -425,6 +427,10 @@ class BatchedLoadProcess:
         bit-identical for every value — replicas own disjoint state and
         RNG streams — so this is purely a performance knob.  Ignored by
         numpy-kernel subclasses.
+    kernel:
+        ``"numpy"`` (reference), ``"native"`` (compiled; raises when no C
+        compiler is available), or ``"auto"`` (native when possible).
+        Subclasses without a compiled round always run numpy.
 
     Notes
     -----
@@ -436,6 +442,11 @@ class BatchedLoadProcess:
     #: Kernel label reported in :class:`EnsembleResult` by the generic loop.
     kernel_name = "numpy"
 
+    #: Process family whose round the compiled kernel runs (a name in
+    #: :data:`repro.core.native.KERNEL_NAMES`), or ``None`` when only the
+    #: numpy loop exists.
+    native_family: Optional[str] = None
+
     def __init__(
         self,
         n_bins: int,
@@ -444,7 +455,19 @@ class BatchedLoadProcess:
         initial: Union[LoadConfiguration, np.ndarray, None] = None,
         seed: SeedLike = None,
         n_threads: Optional[int] = None,
+        kernel: str = "numpy",
     ) -> None:
+        if kernel not in ("auto", "numpy", "native"):
+            raise ConfigurationError(
+                f"kernel must be 'auto', 'numpy' or 'native', got {kernel!r}"
+            )
+        if kernel == "native" and self.native_family is None:
+            raise ConfigurationError(f"{type(self).__name__} has no native kernel")
+        if kernel == "native" and get_kernel(self.native_family) is None:
+            raise ConfigurationError(
+                "native kernel requested but unavailable "
+                f"({native_status(self.native_family)})"
+            )
         if n_bins < 1:
             raise ConfigurationError(f"n_bins must be >= 1, got {n_bins}")
         if n_replicas < 1:
@@ -456,6 +479,7 @@ class BatchedLoadProcess:
                 f"n_threads must be >= 1, got {n_threads}"
             )
         self._n_threads = None if n_threads is None else int(n_threads)
+        self._kernel = kernel
         self._n_bins = n_bins
         self._n_replicas = n_replicas
         self._loads = self._coerce_initial(initial, n_balls)
@@ -668,40 +692,32 @@ class BatchedLoadProcess:
         self, rounds, threshold, stop_when_legitimate, first_legit, observers,
         observe_every,
     ):
-        """Reference window loop; returns ``(max_seen, min_empty, kernel)``.
+        """Advance the window; returns ``(max_seen, min_empty, kernel)``.
 
-        Delegates to the shared implementation in
-        :func:`repro.metrics.window.run_window`.
+        Without a native kernel this is the reference loop,
+        :func:`repro.metrics.window.run_window`.  With one, unobserved
+        runs collapse into a single kernel call.  Observed runs prefer
+        *fused* observation: when every attached observer can ingest
+        in-kernel partials (see :mod:`repro.metrics.fused`), the kernel
+        records the per-observation-point reductions itself and the
+        whole window is still one FFI call.  Otherwise the run advances
+        ``observe_every`` rounds per FFI call and observers see the state
+        between segments; the kernel consumes its per-replica streams
+        round by round under every destination rule, so segmented, fused,
+        and whole-window runs follow the exact same trajectory.
         """
-        max_seen, min_empty, _, _ = run_window(
-            self,
-            rounds,
-            threshold,
-            stop_when_legitimate=stop_when_legitimate,
-            first_legit=first_legit,
-            observers=observers,
-            observe_every=observe_every,
-        )
-        return max_seen, min_empty, self.kernel_name
-
-    def _run_window_native(
-        self, kernel, rounds, threshold, stop_when_legitimate, first_legit,
-        observers, observe_every,
-    ):
-        """Drive a subclass's ``_run_native`` through the shared
-        observed-segmentation loop.
-
-        Unobserved runs collapse into a single kernel call.  Observed runs
-        prefer *fused* observation: when every attached observer can
-        ingest in-kernel partials (see :mod:`repro.metrics.fused`), the
-        kernel records the per-observation-point reductions itself and
-        the whole window is still one FFI call.  Otherwise the run
-        advances ``observe_every`` rounds per FFI call and observers see
-        the state between segments; every native kernel consumes its
-        per-replica streams round by round, so segmented, fused, and
-        whole-window runs follow the exact same trajectory.  Shared by
-        the rbb and walk kernels so this logic exists exactly once.
-        """
+        kernel = self._native_kernel()
+        if kernel is None:
+            max_seen, min_empty, _, _ = run_window(
+                self,
+                rounds,
+                threshold,
+                stop_when_legitimate=stop_when_legitimate,
+                first_legit=first_legit,
+                observers=observers,
+                observe_every=observe_every,
+            )
+            return max_seen, min_empty, self.kernel_name
         if observers is None or observers.is_empty:
             max_seen, min_empty = self._run_native(
                 kernel, rounds, threshold, stop_when_legitimate, first_legit
@@ -726,6 +742,43 @@ class BatchedLoadProcess:
             done += segment
             observers.observe(int(self._rounds_done.max()), self.loads)
         return max_seen, min_empty, "native"
+
+    def _native_kernel(self):
+        """The compiled entry point this run uses, or ``None`` for numpy.
+
+        ``kernel="auto"`` falls back to numpy silently when the library
+        is unavailable or the state does not fit the kernel's int32
+        representation; ``kernel="native"`` raises in the latter case.
+        """
+        if self.native_family is None or self._kernel == "numpy":
+            return None
+        kernel = get_kernel(self.native_family)
+        if kernel is not None and not self._native_supported():
+            if self._kernel == "native":
+                raise ConfigurationError(
+                    "native kernel requested but the state does not fit its "
+                    "int32 representation (bin, edge and per-replica ball "
+                    "counts must stay below 2**31)"
+                )
+            return None
+        return kernel
+
+    def _native_supported(self) -> bool:
+        """Whether the state fits the kernel's int32 loads and indices."""
+        return bool(
+            self._n_bins < 2**31
+            and (self._n_balls < 2**31 - 1).all()
+        )
+
+    def _native_rule(self, n_threads: int) -> tuple:
+        """The kernel's destination-rule arguments for one call.
+
+        ``(rule, neighbors, offsets, degrees, lims, scratch, sources)``:
+        a ``DEST_*`` code from :mod:`repro.core.native`, then the CSR
+        arrays and the ``(n_threads, n)`` work buffers the rule reads, or
+        ``None`` for each one it does not.
+        """
+        raise NotImplementedError
 
     def _fusable(self, observers, rounds, stop_when_legitimate) -> bool:
         """Whether this observed run can use in-kernel (fused) observation.
@@ -819,11 +872,52 @@ class BatchedLoadProcess:
         self, kernel, rounds, threshold, stop_when_legitimate, first_legit,
         obs=None,
     ):
-        """One native-kernel call advancing up to ``rounds`` rounds
-        (kernel-owning subclasses implement this).  ``obs`` is ``None``
-        or the call's :class:`FusedBuffers`, passed to the kernel through
-        :func:`fused_kernel_args`."""
-        raise NotImplementedError
+        """One native-kernel call advancing up to ``rounds`` rounds.
+
+        ``obs`` is ``None`` or the call's :class:`FusedBuffers`, passed to
+        the kernel through :func:`fused_kernel_args`.  Returns the
+        window's ``(max_seen, min_empty)`` vectors.
+        """
+        R = self._n_replicas
+        loads32 = np.ascontiguousarray(self._loads, dtype=np.int32)
+        states = self._native_states()
+        max_seen = np.zeros(R, dtype=np.int32)
+        min_empty = np.full(R, self._n_bins, dtype=np.int32)
+        active8 = np.ascontiguousarray(self._active, dtype=np.uint8)
+        rounds_done = np.ascontiguousarray(self._rounds_done)
+        first64 = np.ascontiguousarray(first_legit)
+        n_threads = resolve_n_threads(self._n_threads, R, kernel=self.native_family)
+        rule, neighbors, offsets, degrees, lims, scratch, sources = (
+            self._native_rule(n_threads)
+        )
+        kernel(
+            native_ptr(loads32, ctypes.c_int32),
+            ctypes.c_int64(R),
+            ctypes.c_int64(self._n_bins),
+            ctypes.c_int64(rounds),
+            native_ptr(states, ctypes.c_uint64),
+            ctypes.c_double(threshold),
+            ctypes.c_int(1 if stop_when_legitimate else 0),
+            native_ptr(max_seen, ctypes.c_int32),
+            native_ptr(min_empty, ctypes.c_int32),
+            native_ptr(first64, ctypes.c_int64),
+            native_ptr(rounds_done, ctypes.c_int64),
+            native_ptr(active8, ctypes.c_uint8),
+            ctypes.c_int(rule),
+            native_ptr(neighbors, ctypes.c_int32),
+            native_ptr(offsets, ctypes.c_int64),
+            native_ptr(degrees, ctypes.c_int32),
+            native_ptr(lims, ctypes.c_uint32),
+            native_ptr(scratch, ctypes.c_int32),
+            native_ptr(sources, ctypes.c_int32),
+            ctypes.c_int32(n_threads),
+            *fused_kernel_args(obs),
+        )
+        self._loads[...] = loads32
+        self._rounds_done[...] = rounds_done
+        self._active[...] = active8.astype(bool)
+        first_legit[...] = first64
+        return max_seen.astype(np.int64), min_empty.astype(np.int64)
 
     # ------------------------------------------------------------------
     # Conveniences
@@ -937,8 +1031,8 @@ class BatchedLoadProcess:
     def _native_states(self) -> np.ndarray:
         """Per-replica xoshiro256++ states, seeded once per instance.
 
-        Shared by every native kernel (`rbb_kernel.c`, `walk_kernel.c`):
-        each replica's 4-word state comes from its own spawned
+        Shared by every destination rule of the native kernel: each
+        replica's 4-word state comes from its own spawned
         ``SeedSequence`` child, so a replica's native trajectory depends
         only on its seed words, not on the batch size.
         """
@@ -994,6 +1088,8 @@ class BatchedRepeatedBallsIntoBins(BatchedLoadProcess):
         :class:`BatchedLoadProcess`.  Never changes results.
     """
 
+    native_family = "rbb"
+
     def __init__(
         self,
         n_bins: int,
@@ -1004,19 +1100,10 @@ class BatchedRepeatedBallsIntoBins(BatchedLoadProcess):
         kernel: str = "auto",
         n_threads: Optional[int] = None,
     ) -> None:
-        if kernel not in ("auto", "numpy", "native"):
-            raise ConfigurationError(
-                f"kernel must be 'auto', 'numpy' or 'native', got {kernel!r}"
-            )
-        if kernel == "native" and get_kernel() is None:
-            raise ConfigurationError(
-                f"native kernel requested but unavailable ({native_status()})"
-            )
         super().__init__(
             n_bins, n_replicas, n_balls=n_balls, initial=initial, seed=seed,
-            n_threads=n_threads,
+            n_threads=n_threads, kernel=kernel,
         )
-        self._kernel = kernel
 
     # ------------------------------------------------------------------
     # Dynamics — numpy reference kernel
@@ -1042,72 +1129,13 @@ class BatchedRepeatedBallsIntoBins(BatchedLoadProcess):
                 self._rng, self._row_base, counts, self._n_replicas, self._n_bins
             )
 
-    def _run_window(
-        self, rounds, threshold, stop_when_legitimate, first_legit, observers,
-        observe_every,
-    ):
-        kernel = get_kernel() if self._kernel in ("auto", "native") else None
-        if kernel is not None and not self._native_supported():
-            if self._kernel == "native":
-                raise ConfigurationError(
-                    "native kernel requested but the state does not fit its "
-                    "int32 load representation (n_bins and per-replica ball "
-                    "counts must stay below 2**31)"
-                )
-            kernel = None
-        if kernel is None:
-            return super()._run_window(
-                rounds, threshold, stop_when_legitimate, first_legit, observers,
-                observe_every,
-            )
-        return self._run_window_native(
-            kernel, rounds, threshold, stop_when_legitimate, first_legit,
-            observers, observe_every,
-        )
-
     # ------------------------------------------------------------------
     # Dynamics — native kernel
     # ------------------------------------------------------------------
-    def _native_supported(self) -> bool:
-        return bool(
-            self._n_bins < 2**31
-            and (self._n_balls < 2**31 - 1).all()
-        )
-
-    def _run_native(
-        self, kernel, rounds, threshold, stop_when_legitimate, first_legit,
-        obs=None,
-    ):
-        R = self._n_replicas
-        loads32 = np.ascontiguousarray(self._loads, dtype=np.int32)
-        states = self._native_states()
-        max_seen = np.zeros(R, dtype=np.int32)
-        min_empty = np.full(R, self._n_bins, dtype=np.int32)
-        active8 = np.ascontiguousarray(self._active, dtype=np.uint8)
-        rounds_done = np.ascontiguousarray(self._rounds_done)
-        first64 = np.ascontiguousarray(first_legit)
-        n_threads = resolve_n_threads(self._n_threads, R, kernel="rbb")
-        kernel(
-            native_ptr(loads32, ctypes.c_int32),
-            ctypes.c_int64(R),
-            ctypes.c_int64(self._n_bins),
-            ctypes.c_int64(rounds),
-            native_ptr(states, ctypes.c_uint64),
-            ctypes.c_double(threshold),
-            ctypes.c_int(1 if stop_when_legitimate else 0),
-            native_ptr(max_seen, ctypes.c_int32),
-            native_ptr(min_empty, ctypes.c_int32),
-            native_ptr(first64, ctypes.c_int64),
-            native_ptr(rounds_done, ctypes.c_int64),
-            native_ptr(active8, ctypes.c_uint8),
-            ctypes.c_int32(n_threads),
-            *fused_kernel_args(obs),
-        )
-        self._loads[...] = loads32
-        self._rounds_done[...] = rounds_done
-        self._active[...] = active8.astype(bool)
-        first_legit[...] = first64
-        return max_seen.astype(np.int64), min_empty.astype(np.int64)
+    def _native_rule(self, n_threads: int) -> tuple:
+        """The implicit clique: uniform destinations among all ``n`` bins,
+        no CSR and no work buffers."""
+        return (DEST_CLIQUE,) + (None,) * 6
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

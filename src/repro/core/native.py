@@ -1,18 +1,24 @@
-"""On-demand compilation and loading of the native batched kernels.
+"""On-demand compilation and loading of the native batched kernel.
 
-Two C kernels ship with the package and are compiled once per source
-version into shared libraries under the user's cache directory, then
-loaded through :mod:`ctypes`:
+One C kernel ships with the package: ``ensemble_kernel.c`` (next to this
+module), compiled once per source version into a shared library under the
+user's cache directory and loaded through :mod:`ctypes`.  Its one entry
+point, ``ensemble_run``, advances every process family with a compiled
+round, each through its destination rule (``DEST_*`` below):
 
 ``"rbb"``
-    ``rbb_kernel.c`` (next to this module) — the repeated balls-into-bins
-    update driven by :class:`~repro.core.batched.BatchedRepeatedBallsIntoBins`.
+    The repeated balls-into-bins update driven by
+    :class:`~repro.core.batched.BatchedRepeatedBallsIntoBins` (and the
+    faulty process built on it): the implicit-clique rule.
 ``"walks"``
-    ``graphs/walk_kernel.c`` — the topology-constrained parallel-walk
-    update driven by :class:`~repro.graphs.batched.BatchedConstrainedWalks`.
+    The topology-constrained parallel-walk update driven by
+    :class:`~repro.graphs.batched.BatchedConstrainedWalks`: the CSR rules.
 
-Both kernels share ``_kernel_common.h`` (RNG + replica-axis threading) and
-are compiled against a ladder of flag variants, best first::
+:func:`get_kernel`, :func:`native_status` and friends take the process
+family so callers can label what they run; both names resolve to the same
+library.  The kernel includes ``_kernel_common.h`` (RNG, replica-axis
+threading, fused observation) and is compiled against a ladder of flag
+variants, best first::
 
     -O3 -march=native -funroll-loops -fopenmp        (OpenMP threading)
     -O3 -march=native -funroll-loops -DREPRO_PTHREADS -pthread
@@ -46,7 +52,9 @@ thread count, so this is purely a performance knob.
 Sanitizer builds (``REPRO_SANITIZE=asan|ubsan|tsan``) compile every flag
 variant with the matching ``-fsanitize=...`` flags appended (and
 ``-march=native`` dropped under TSan, whose instrumentation does not mix
-well with aggressively vectorized code).  Sanitized binaries live under
+well with aggressively vectorized code).  UBSan names
+``-fsanitize=float-cast-overflow`` on its own because GCC's
+``-fsanitize=undefined`` leaves it out.  Sanitized binaries live under
 their own cache fingerprints *and* mode-tagged file names, so they can
 never shadow — or be shadowed by — the fast binaries.  Loading an
 ASan/TSan ``.so`` into a stock CPython requires the sanitizer runtime to
@@ -88,6 +96,9 @@ __all__ = [
     "SymbolABI",
     "KERNEL_ABI",
     "KERNEL_NAMES",
+    "DEST_CLIQUE",
+    "DEST_CSR_ONE",
+    "DEST_CSR_ALL",
     "SANITIZE_MODES",
     "THREAD_MODELS",
 ]
@@ -117,9 +128,36 @@ class SymbolABI:
     source: Path
 
 
-def _obs_tail() -> Tuple[object, ...]:
-    """Argtypes shared by both kernels' fused-observation ABI tail."""
-    return (
+_SOURCE = _PACKAGE_ROOT / "core" / "ensemble_kernel.c"
+
+#: Destination rules of ``ensemble_run`` (the ``DEST_*`` enum of the C
+#: source): the implicit clique of repeated balls-into-bins, one token per
+#: non-empty CSR node (constrained walks), every token along the CSR
+#: (unconstrained walks).
+DEST_CLIQUE, DEST_CSR_ONE, DEST_CSR_ALL = 0, 1, 2
+
+_RUN_ABI = SymbolABI(
+    name="ensemble_run",
+    argtypes=(
+        ctypes.POINTER(ctypes.c_int32),  # loads (R, n)
+        ctypes.c_int64,  # R
+        ctypes.c_int64,  # n
+        ctypes.c_int64,  # rounds
+        ctypes.POINTER(ctypes.c_uint64),  # rng_state (R, 4)
+        ctypes.c_double,  # threshold
+        ctypes.c_int,  # stop_when_legitimate
+        ctypes.POINTER(ctypes.c_int32),  # max_seen (R,)
+        ctypes.POINTER(ctypes.c_int32),  # min_empty_seen (R,)
+        ctypes.POINTER(ctypes.c_int64),  # first_legit (R,)
+        ctypes.POINTER(ctypes.c_int64),  # rounds_done (R,)
+        ctypes.POINTER(ctypes.c_uint8),  # active (R,)
+        ctypes.c_int,  # rule (DEST_*)
+        ctypes.POINTER(ctypes.c_int32),  # neighbors (E,) or None
+        ctypes.POINTER(ctypes.c_int64),  # offsets (n + 1,) or None
+        ctypes.POINTER(ctypes.c_int32),  # degrees (n,) or None
+        ctypes.POINTER(ctypes.c_uint32),  # lims (n,) or None
+        ctypes.POINTER(ctypes.c_int32),  # scratch (n_threads, n) or None
+        ctypes.POINTER(ctypes.c_int32),  # sources (n_threads, n) or None
         ctypes.c_int32,  # n_threads
         ctypes.c_int64,  # observe_every
         ctypes.c_int64,  # n_obs
@@ -130,59 +168,9 @@ def _obs_tail() -> Tuple[object, ...]:
         ctypes.c_int64,  # hist_cap
         ctypes.POINTER(ctypes.c_int64),  # obs_hist (R, hist_cap + 1) or None
         ctypes.POINTER(ctypes.c_int64),  # obs_overflow (R,) or None
-    )
-
-
-_RBB_SOURCE = _PACKAGE_ROOT / "core" / "rbb_kernel.c"
-_WALKS_SOURCE = _PACKAGE_ROOT / "graphs" / "walk_kernel.c"
-
-_RBB_ABI = SymbolABI(
-    name="rbb_run",
-    argtypes=(
-        ctypes.POINTER(ctypes.c_int32),  # loads (R, n)
-        ctypes.c_int64,  # R
-        ctypes.c_int64,  # n
-        ctypes.c_int64,  # rounds
-        ctypes.POINTER(ctypes.c_uint64),  # rng_state (R, 4)
-        ctypes.c_double,  # threshold
-        ctypes.c_int,  # stop_when_legitimate
-        ctypes.POINTER(ctypes.c_int32),  # max_seen (R,)
-        ctypes.POINTER(ctypes.c_int32),  # min_empty_seen (R,)
-        ctypes.POINTER(ctypes.c_int64),  # first_legit (R,)
-        ctypes.POINTER(ctypes.c_int64),  # rounds_done (R,)
-        ctypes.POINTER(ctypes.c_uint8),  # active (R,)
-    )
-    + _obs_tail(),
+    ),
     restype=None,
-    source=_RBB_SOURCE,
-)
-
-_WALKS_ABI = SymbolABI(
-    name="walks_run",
-    argtypes=(
-        ctypes.POINTER(ctypes.c_int32),  # loads (R, n)
-        ctypes.c_int64,  # R
-        ctypes.c_int64,  # n
-        ctypes.POINTER(ctypes.c_int32),  # neighbors (E,)
-        ctypes.POINTER(ctypes.c_int64),  # offsets (n + 1,)
-        ctypes.POINTER(ctypes.c_int32),  # degrees (n,)
-        ctypes.POINTER(ctypes.c_uint32),  # lims (n,)
-        ctypes.c_int64,  # rounds
-        ctypes.POINTER(ctypes.c_uint64),  # rng_state (R, 4)
-        ctypes.c_double,  # threshold
-        ctypes.c_int,  # stop_when_legitimate
-        ctypes.c_int,  # constrained
-        ctypes.POINTER(ctypes.c_int32),  # max_seen (R,)
-        ctypes.POINTER(ctypes.c_int32),  # min_empty_seen (R,)
-        ctypes.POINTER(ctypes.c_int64),  # first_legit (R,)
-        ctypes.POINTER(ctypes.c_int64),  # rounds_done (R,)
-        ctypes.POINTER(ctypes.c_uint8),  # active (R,)
-        ctypes.POINTER(ctypes.c_int32),  # scratch (n_threads, n)
-        ctypes.POINTER(ctypes.c_int32),  # sources (n_threads, n)
-    )
-    + _obs_tail(),
-    restype=None,
-    source=_WALKS_SOURCE,
+    source=_SOURCE,
 )
 
 _PROBE_ABI = SymbolABI(
@@ -192,11 +180,11 @@ _PROBE_ABI = SymbolABI(
     source=_COMMON_HEADER,
 )
 
-#: Every exported symbol of the compiled kernels, by name.  The lint ABI
+#: Every exported symbol of the compiled kernel, by name.  The lint ABI
 #: checker walks this mapping and verifies each entry against the
 #: ``REPRO_ABI``-marked C definition in ``SymbolABI.source``.
 KERNEL_ABI: Dict[str, SymbolABI] = {
-    abi.name: abi for abi in (_RBB_ABI, _WALKS_ABI, _PROBE_ABI)
+    abi.name: abi for abi in (_RUN_ABI, _PROBE_ABI)
 }
 
 
@@ -233,15 +221,15 @@ class _LoadedKernel:
     threading: str  # "openmp" | "pthreads" | "serial" | "unavailable"
 
 
-_KERNELS: Dict[str, _KernelSpec] = {
-    "rbb": _KernelSpec(source=_RBB_SOURCE, abi=_RBB_ABI),
-    "walks": _KernelSpec(source=_WALKS_SOURCE, abi=_WALKS_ABI),
-}
+_KERNEL = _KernelSpec(source=_SOURCE, abi=_RUN_ABI)
 
-#: Names of the compiled kernels this module can load.
-KERNEL_NAMES: Tuple[str, ...] = tuple(_KERNELS)
+#: Process families the kernel runs; the ``kernel`` argument of
+#: :func:`get_kernel` and friends names one of them, and every name
+#: resolves to the same library.
+KERNEL_NAMES: Tuple[str, ...] = ("rbb", "walks")
 
-_CACHE: Dict[Tuple[str, Optional[str]], _LoadedKernel] = {}
+#: The loaded library per sanitize mode (``None``: the fast build).
+_CACHE: Dict[Optional[str], _LoadedKernel] = {}
 
 
 def _cache_dir() -> Path:
@@ -282,6 +270,7 @@ SANITIZE_MODES: Dict[str, Tuple[str, ...]] = {
     "asan": ("-fsanitize=address", "-fno-omit-frame-pointer"),
     "ubsan": (
         "-fsanitize=undefined",
+        "-fsanitize=float-cast-overflow",
         "-fno-sanitize-recover=all",
         "-fno-omit-frame-pointer",
     ),
@@ -384,15 +373,12 @@ def _describe_error(exc: BaseException) -> str:
 
 def _probe_threading(lib: ctypes.CDLL) -> str:
     """Which threading backend the loaded binary was compiled with."""
-    try:
-        probe = _declare(lib, _PROBE_ABI)
-    except AttributeError:  # pre-header binaries lack the symbol
-        return "serial"
+    probe = _declare(lib, _PROBE_ABI)
     return THREAD_MODELS.get(int(probe()), "serial")
 
 
-def _load(name: str, mode: Optional[str]) -> _LoadedKernel:
-    spec = _KERNELS[name]
+def _load(mode: Optional[str]) -> _LoadedKernel:
+    spec = _KERNEL
     if os.environ.get("REPRO_NATIVE", "").strip() == "0":
         return _LoadedKernel(None, "disabled via REPRO_NATIVE=0", "unavailable")
     missing = [
@@ -451,15 +437,14 @@ def _load(name: str, mode: Optional[str]) -> _LoadedKernel:
 
 
 def _resolve(name: str) -> _LoadedKernel:
-    if name not in _KERNELS:
+    if name not in KERNEL_NAMES:
         raise KeyError(
             f"unknown native kernel {name!r}; available: {', '.join(KERNEL_NAMES)}"
         )
     mode = sanitize_mode()
-    key = (name, mode)
-    if key not in _CACHE:
-        _CACHE[key] = _load(name, mode)
-    return _CACHE[key]
+    if mode not in _CACHE:
+        _CACHE[mode] = _load(mode)
+    return _CACHE[mode]
 
 
 def native_available(kernel: str = "rbb") -> bool:
@@ -468,7 +453,11 @@ def native_available(kernel: str = "rbb") -> bool:
 
 
 def get_kernel(kernel: str = "rbb"):
-    """The ``ctypes`` entry point of a compiled kernel, or ``None``."""
+    """The ``ctypes`` entry point ``ensemble_run``, or ``None``.
+
+    ``kernel`` names the process family the caller runs (see
+    :data:`KERNEL_NAMES`); every family gets the same entry point.
+    """
     return _resolve(kernel).fn
 
 

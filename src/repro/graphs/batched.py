@@ -27,11 +27,12 @@ over ``(R, n)``) visits the single replica's nodes exactly as
 token in both paths.
 
 Like :class:`~repro.core.batched.BatchedRepeatedBallsIntoBins`, two
-kernels drive the update: the pure-numpy reference above, and a compiled
-C kernel (``walk_kernel.c``, built on demand through
-:mod:`repro.core.native`) with independent per-replica xoshiro256++
-streams that collapses a whole ``run()`` into one FFI call — the source
-of the order-of-magnitude ensemble speedups
+kernels drive the update: the pure-numpy reference above, and the
+compiled C kernel (``core/ensemble_kernel.c``, built on demand through
+:mod:`repro.core.native`) under its CSR destination rules, with
+independent per-replica xoshiro256++ streams, which collapses a whole
+``run()`` into one FFI call — the source of the order-of-magnitude
+ensemble speedups
 (``benchmarks/bench_batched.py`` enforces them).  ``kernel="auto"`` (the
 default) uses the native kernel when a C compiler is available and falls
 back to numpy silently; ``REPRO_NATIVE=0`` forces numpy everywhere.
@@ -52,16 +53,14 @@ length-``R`` vector:
 
 from __future__ import annotations
 
-import ctypes
 from typing import Optional, Union
 
 import numpy as np
 
 from .topology import Topology
-from ..core.batched import BatchedLoadProcess, fused_kernel_args, native_ptr
+from ..core.batched import BatchedLoadProcess
 from ..core.config import LoadConfiguration
-from ..core.native import get_kernel, native_status, resolve_n_threads
-from ..errors import ConfigurationError
+from ..core.native import DEST_CSR_ALL, DEST_CSR_ONE
 from ..types import SeedLike
 
 __all__ = ["BatchedConstrainedWalks"]
@@ -101,6 +100,8 @@ class BatchedConstrainedWalks(BatchedLoadProcess):
         results.
     """
 
+    native_family = "walks"
+
     def __init__(
         self,
         topology: Topology,
@@ -112,15 +113,6 @@ class BatchedConstrainedWalks(BatchedLoadProcess):
         kernel: str = "auto",
         n_threads: Optional[int] = None,
     ) -> None:
-        if kernel not in ("auto", "numpy", "native"):
-            raise ConfigurationError(
-                f"kernel must be 'auto', 'numpy' or 'native', got {kernel!r}"
-            )
-        if kernel == "native" and get_kernel("walks") is None:
-            raise ConfigurationError(
-                "native walk kernel requested but unavailable "
-                f"({native_status('walks')})"
-            )
         super().__init__(
             topology.num_nodes,
             n_replicas,
@@ -128,10 +120,10 @@ class BatchedConstrainedWalks(BatchedLoadProcess):
             initial=initial,
             seed=seed,
             n_threads=n_threads,
+            kernel=kernel,
         )
         self._topology = topology
         self._constrained = bool(constrained)
-        self._kernel = kernel
         self._csr_cache: Optional[tuple] = None
         self._scratch_cache: Optional[tuple] = None
 
@@ -202,11 +194,7 @@ class BatchedConstrainedWalks(BatchedLoadProcess):
     # ------------------------------------------------------------------
     def _native_supported(self) -> bool:
         neighbors, _ = self._topology.csr()
-        return bool(
-            self._n_bins < 2**31
-            and neighbors.size < 2**31
-            and (self._n_balls < 2**31 - 1).all()
-        )
+        return super()._native_supported() and neighbors.size < 2**31
 
     def _native_csr(self) -> tuple:
         """Kernel-ready CSR arrays (int32 neighbors/degrees, Lemire limits)."""
@@ -236,74 +224,12 @@ class BatchedConstrainedWalks(BatchedLoadProcess):
             )
         return self._scratch_cache[1], self._scratch_cache[2]
 
-    def _run_window(
-        self, rounds, threshold, stop_when_legitimate, first_legit, observers,
-        observe_every,
-    ):
-        kernel = get_kernel("walks") if self._kernel in ("auto", "native") else None
-        if kernel is not None and not self._native_supported():
-            if self._kernel == "native":
-                raise ConfigurationError(
-                    "native walk kernel requested but the state does not fit "
-                    "its int32 representation (node, edge, and per-replica "
-                    "token counts must stay below 2**31)"
-                )
-            kernel = None
-        if kernel is None:
-            return super()._run_window(
-                rounds, threshold, stop_when_legitimate, first_legit, observers,
-                observe_every,
-            )
-        # the walk kernel's lane buffer resets at round boundaries, so the
-        # shared observed-segmentation loop is trajectory-exact here too
-        return self._run_window_native(
-            kernel, rounds, threshold, stop_when_legitimate, first_legit,
-            observers, observe_every,
-        )
-
-    def _run_native(
-        self, kernel, rounds, threshold, stop_when_legitimate, first_legit,
-        obs=None,
-    ):
-        R = self._n_replicas
-        loads32 = np.ascontiguousarray(self._loads, dtype=np.int32)
-        neighbors, offsets, degrees, lims = self._native_csr()
-        states = self._native_states()
-        max_seen = np.zeros(R, dtype=np.int32)
-        min_empty = np.full(R, self._n_bins, dtype=np.int32)
-        active8 = np.ascontiguousarray(self._active, dtype=np.uint8)
-        rounds_done = np.ascontiguousarray(self._rounds_done)
-        first64 = np.ascontiguousarray(first_legit)
-        n_threads = resolve_n_threads(self._n_threads, R, kernel="walks")
-        scratch, sources = self._native_scratch(n_threads)
-        kernel(
-            native_ptr(loads32, ctypes.c_int32),
-            ctypes.c_int64(R),
-            ctypes.c_int64(self._n_bins),
-            native_ptr(neighbors, ctypes.c_int32),
-            native_ptr(offsets, ctypes.c_int64),
-            native_ptr(degrees, ctypes.c_int32),
-            native_ptr(lims, ctypes.c_uint32),
-            ctypes.c_int64(rounds),
-            native_ptr(states, ctypes.c_uint64),
-            ctypes.c_double(threshold),
-            ctypes.c_int(1 if stop_when_legitimate else 0),
-            ctypes.c_int(1 if self._constrained else 0),
-            native_ptr(max_seen, ctypes.c_int32),
-            native_ptr(min_empty, ctypes.c_int32),
-            native_ptr(first64, ctypes.c_int64),
-            native_ptr(rounds_done, ctypes.c_int64),
-            native_ptr(active8, ctypes.c_uint8),
-            native_ptr(scratch, ctypes.c_int32),
-            native_ptr(sources, ctypes.c_int32),
-            ctypes.c_int32(n_threads),
-            *fused_kernel_args(obs),
-        )
-        self._loads[...] = loads32
-        self._rounds_done[...] = rounds_done
-        self._active[...] = active8.astype(bool)
-        first_legit[...] = first64
-        return max_seen.astype(np.int64), min_empty.astype(np.int64)
+    def _native_rule(self, n_threads: int) -> tuple:
+        """A CSR neighbor draw for one token per non-empty node
+        (constrained) or for every token, over the cached CSR arrays and
+        per-thread work buffers."""
+        rule = DEST_CSR_ONE if self._constrained else DEST_CSR_ALL
+        return (rule, *self._native_csr(), *self._native_scratch(n_threads))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         mode = "constrained" if self._constrained else "independent"

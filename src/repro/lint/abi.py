@@ -1,7 +1,7 @@
-"""C <-> ctypes ABI cross-checker for the native kernels.
+"""C <-> ctypes ABI cross-checker for the native kernel.
 
-The compiled kernels (``rbb_kernel.c``, ``graphs/walk_kernel.c``, plus
-``_kernel_common.h``) mark every exported function with the ``REPRO_ABI``
+The compiled kernel (``core/ensemble_kernel.c`` plus
+``_kernel_common.h``) marks every exported function with the ``REPRO_ABI``
 macro; :mod:`repro.core.native` declares each symbol's ``ctypes``
 signature as data in :data:`~repro.core.native.KERNEL_ABI`.  This module
 parses the marked C definitions (no compiler needed) and verifies, per

@@ -34,7 +34,7 @@ dynamic test suite:
    `requirements-ci.txt`, configured in `pyproject.toml`).  `mypy` runs
    strict on the typed core: `repro.types`, `repro.parallel.seeding`,
    `repro.sweeps.spec`, and `repro.scenarios.spec`.
-3. **Sanitized kernel builds** — the C kernels recompiled under
+3. **Sanitized kernel builds** — the C kernel recompiled under
    ASan/UBSan/TSan and driven through the conformance harness and the
    threading tests.
 """
@@ -66,7 +66,7 @@ silently.
 """
 
 _ABI_PROSE = """\
-The kernels' exported C signatures are hand-mirrored as `ctypes`
+The kernel's exported C signatures are hand-mirrored as `ctypes`
 `argtypes`/`restype` declarations in `repro.core.native.KERNEL_ABI`.  A
 drifted arity, argument order, or integer width corrupts memory instead
 of failing loudly, so `repro.lint.abi` parses every `REPRO_ABI`-marked
@@ -85,19 +85,23 @@ definition out of the C sources and cross-checks, per symbol:
 
 _SANITIZER_PROSE = """\
 `REPRO_SANITIZE=asan|ubsan|tsan` selects an instrumented build variant
-of the native kernels.  Each mode appends its flags to every variant of
+of the native kernel.  Each mode appends its flags to every variant of
 the normal compile ladder; the exact flag list is part of the cache
 fingerprint **and** the mode is part of the cached file name
 (`{stem}-{mode}-{fingerprint}.so`), so sanitized binaries can never
 shadow — or be shadowed by — the fast ones.  The in-process kernel
-cache is likewise keyed by `(kernel, mode)`.
+cache is likewise keyed by the mode.  UBSan lists
+`-fsanitize=float-cast-overflow` explicitly: GCC's
+`-fsanitize=undefined` does not include it, and an out-of-range
+double-to-int conversion (such as a huge legitimacy threshold) is
+exactly the undefined behaviour a C kernel taking a `double` can hit.
 
 `scripts/with_sanitizer.sh <mode> <command...>` wraps a command with
 the right environment: it resolves the runtime that a stock CPython
 needs preloaded (ASan/TSan; UBSan's runtime links into the `.so`), sets
-default `*SAN_OPTIONS`, and **asserts both kernels load instrumented
-before running anything** — a leg that silently fell back to the numpy
-kernels would test nothing.  The command runs from a small Python
+default `*SAN_OPTIONS`, and **asserts the kernel library loads
+instrumented before running anything** — a leg that silently fell back
+to the numpy kernels would test nothing.  The command runs from a small Python
 driver because TSan startup is sensitive to the inherited address-space
 layout (CI additionally lowers `vm.mmap_rnd_bits` to 28 for TSan).
 
@@ -116,7 +120,7 @@ CI legs (`sanitizers` job):
 | mode  | workload |
 | ----- | -------- |
 | asan  | `with_sanitizer.sh asan python -m repro verify --level smoke` |
-| ubsan | `with_sanitizer.sh ubsan python -m repro verify --level smoke` |
+| ubsan | `with_sanitizer.sh ubsan python -m repro verify --level smoke`, then `with_sanitizer.sh ubsan python -m pytest tests/test_native_threads.py -k LegitimacyBound` |
 | tsan  | `REPRO_NATIVE_THREADS=2 with_sanitizer.sh tsan python -m pytest tests/test_native_threads.py` |
 """
 

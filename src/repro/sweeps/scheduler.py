@@ -52,6 +52,9 @@ Progress = Optional[Callable[[str], None]]
 #: Store-header schema version (bump on incompatible layout changes).
 HEADER_VERSION = 1
 
+#: Process families whose ensembles run on the compiled kernel.
+_COMPILED_PROCESSES = ("rbb", "faulty", "graph_walks")
+
 
 @dataclass
 class SweepReport:
@@ -103,24 +106,17 @@ def _resolve_kernel(kernel: str, plan: SweepPlan) -> str:
     header check (and the pinned explicit kernel then fails loudly in
     ``run_ensemble``) instead of silently mixing streams.
 
-    Resolution consults the compiled kernels the plan's process families
-    actually dispatch to (``"rbb"`` for the balls-into-bins updates,
-    ``"walks"`` for the graph walks): ``"native"`` is pinned only when
-    every required kernel is available, matching the silent per-process
-    fallback ``kernel="auto"`` performs everywhere else.
+    ``"native"`` is pinned when some point runs a process family with a
+    compiled round (balls-into-bins, faulty, graph walks) and the kernel
+    library loaded, matching the silent fallback ``kernel="auto"``
+    performs everywhere else.
     """
     if kernel != "auto":
         return kernel
-    required = set()
-    for point in plan:
-        process = point.config.get("process", "rbb")
-        if process in ("rbb", "faulty"):
-            required.add("rbb")
-        elif process == "graph_walks":
-            required.add("walks")
-    if required and all(native_available(name) for name in required):
-        return "native"
-    return "numpy"
+    compiled = any(
+        point.config.get("process", "rbb") in _COMPILED_PROCESSES for point in plan
+    )
+    return "native" if compiled and native_available() else "numpy"
 
 
 def _header(

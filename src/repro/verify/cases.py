@@ -78,7 +78,8 @@ class ConformanceCase:
 
 
 def native_kernel_available(kernel: str = "rbb") -> bool:
-    """Whether the named C kernel actually loaded in this environment."""
+    """Whether the C kernel actually loaded in this environment (one
+    library serves every process family, ``kernel`` names the caller's)."""
     return native_available(kernel)
 
 

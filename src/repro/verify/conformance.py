@@ -631,24 +631,13 @@ def run_conformance(
         alpha_total=alpha_total,
         alpha_per_test=alpha,
     )
-    native_ok = {
-        "rbb": native_kernel_available("rbb"),
-        "walks": native_kernel_available("walks"),
-    }
+    native_ok = native_kernel_available()
     for case_index, case in enumerate(catalog):
         if only is not None and only not in case.name:
             continue
-        if case.needs_native:
-            which = (
-                "walks"
-                if dict(case.spec_config).get("process") == "graph_walks"
-                else "rbb"
-            )
-            if not native_ok[which]:
-                report.skipped.append(
-                    (case.name, f"native {which} kernel unavailable")
-                )
-                continue
+        if case.needs_native and not native_ok:
+            report.skipped.append((case.name, "native kernel unavailable"))
+            continue
         case_seed = trial_seed(root, case_index)
         report.outcomes.extend(
             run_case(case, case_seed, alpha, artifacts_dir=artifacts_dir)

@@ -437,6 +437,51 @@ def test_fused_ingest_requires_histogram_blocks():
 
 
 # ---------------------------------------------------------------------
+# Legitimacy thresholds beyond the int32 range
+# ---------------------------------------------------------------------
+@needs_native
+class TestLegitimacyBound:
+    """A threshold at or above 2**31 makes every int32 state legitimate.
+
+    The kernel compares int32 loads against an integer bound; converting
+    such a threshold to int32 directly is undefined behaviour in C (and
+    on x86 yields INT32_MIN, so no round ever counted as legitimate).
+    """
+
+    BETA = 1e9  # beta * log(64) > 2**31
+
+    @staticmethod
+    def _process(family, kernel):
+        initial = make_ensemble_initial("all_in_one", 64, 4)
+        if family == "rbb":
+            return BatchedRepeatedBallsIntoBins(
+                64, 4, initial=initial, seed=9, kernel=kernel
+            )
+        return BatchedConstrainedWalks(
+            resolve_topology("torus:8x8"), 4, initial=initial, seed=9,
+            kernel=kernel,
+        )
+
+    @pytest.mark.parametrize("stop", [False, True])
+    @pytest.mark.parametrize("family", ["rbb", "walks"])
+    def test_native_matches_numpy(self, family, stop):
+        results = {
+            kernel: self._process(family, kernel).run(
+                5, beta=self.BETA, stop_when_legitimate=stop
+            )
+            for kernel in ("numpy", "native")
+        }
+        native, numpy_ = results["native"], results["numpy"]
+        assert native.kernel == "native"
+        assert np.array_equal(
+            native.first_legitimate_round, numpy_.first_legitimate_round
+        )
+        assert np.array_equal(native.rounds, numpy_.rounds)
+        expected = 0 if stop else 1
+        assert (native.first_legitimate_round == expected).all()
+
+
+# ---------------------------------------------------------------------
 # Golden digests: native trajectories pinned bit-for-bit
 # ---------------------------------------------------------------------
 def _golden_digest(result, payloads) -> str:
@@ -647,9 +692,9 @@ def test_sharded_run_after_threaded_run_does_not_deadlock():
 
 class TestBinaryCacheKey:
     def test_flags_are_part_of_the_key(self):
-        from repro.core.native import _KERNELS, _fingerprint
+        from repro.core.native import _KERNEL, _fingerprint
 
-        spec = _KERNELS["rbb"]
+        spec = _KERNEL
         base = _fingerprint(spec, "cc", ())
         with_omp = _fingerprint(spec, "cc", ("-fopenmp",))
         assert base != with_omp
@@ -660,9 +705,9 @@ class TestBinaryCacheKey:
         """The shared header is compiled in, so it must be hashed too."""
         import dataclasses
 
-        from repro.core.native import _KERNELS, _fingerprint
+        from repro.core.native import _KERNEL, _fingerprint
 
-        spec = _KERNELS["rbb"]
+        spec = _KERNEL
         without_header = dataclasses.replace(spec, headers=())
         assert _fingerprint(spec, "cc", ()) != _fingerprint(
             without_header, "cc", ()

@@ -13,7 +13,7 @@ from repro.core import native
 from repro.core.native import (
     SANITIZE_MODES,
     _FLAG_VARIANTS,
-    _KERNELS,
+    _KERNEL,
     _fingerprint,
     _variant_ladder,
     sanitize_mode,
@@ -85,6 +85,14 @@ class TestMode:
         for flags in SANITIZE_MODES.values():
             assert any(f.startswith("-fsanitize=") for f in flags)
 
+    def test_ubsan_checks_float_to_int_casts(self):
+        """GCC's -fsanitize=undefined leaves float-cast-overflow out, so
+        an out-of-range double -> int conversion in a kernel would pass
+        the UBSan leg silently unless the flag is named."""
+        flags = SANITIZE_MODES["ubsan"]
+        assert "-fsanitize=undefined" in flags
+        assert "-fsanitize=float-cast-overflow" in flags
+
 
 class TestLadder:
     def test_no_mode_is_the_fast_ladder(self):
@@ -110,13 +118,13 @@ class TestLadder:
 
 class TestCacheIsolation:
     def test_fingerprints_differ_per_flag_variant(self):
-        spec = _KERNELS["rbb"]
+        spec = _KERNEL
         fast = _fingerprint(spec, "cc", _FLAG_VARIANTS[0])
         sanitized = _fingerprint(spec, "cc", _variant_ladder("asan")[0])
         assert fast != sanitized
 
     def test_fingerprints_differ_per_mode(self):
-        spec = _KERNELS["rbb"]
+        spec = _KERNEL
         prints = {
             mode: _fingerprint(spec, "cc", _variant_ladder(mode)[0])
             for mode in SANITIZE_MODES
@@ -128,7 +136,7 @@ class TestCacheIsolation:
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         native._CACHE.clear()
         native.native_status("rbb")
-        assert ("rbb", None) in native._CACHE
+        assert None in native._CACHE
         monkeypatch.setenv("REPRO_SANITIZE", "msan")
         with pytest.raises(ConfigurationError):
             native.native_status("rbb")
@@ -144,7 +152,7 @@ class TestSanitizedBuilds:
         status = native.native_status("rbb")
         assert native.native_available("rbb"), status
         assert "[sanitize=ubsan]" in status
-        assert "rbb_kernel-ubsan-" in status
+        assert "ensemble_kernel-ubsan-" in status
 
     def test_ubsan_results_match_fast_build(self, monkeypatch):
         if _sanitizer_runtime("libubsan.so") is None:
