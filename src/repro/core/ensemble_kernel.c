@@ -60,9 +60,13 @@
 /* Destination rules (mirrored by repro.core.native.DEST_*). */
 enum { DEST_CLIQUE = 0, DEST_CSR_ONE = 1, DEST_CSR_ALL = 2 };
 
+/* The per-round rule functions stay out of line.  Inlined into the
+ * driver, the clique rule's arrival loop competes for registers with the
+ * driver's live values and ran 5-15% slower than as its own function. */
+#define ROUND_FN static __attribute__((noinline)) void
+
 typedef struct {
     int32_t *loads;
-    int64_t R;
     int64_t n;
     int64_t rounds;
     uint64_t *rng_state;
@@ -86,9 +90,8 @@ typedef struct {
 
 /* DEST_CLIQUE: one round of row; leaves the post-round max load in
  * *mx_out and the empty-bin count in *empty_out. */
-static inline void clique_round(const ensemble_ctx *c, int32_t *row,
-                                rng_t *g, int32_t *mx_out,
-                                int64_t *empty_out)
+ROUND_FN clique_round(const ensemble_ctx *c, int32_t *row, rng_t *g,
+                      int32_t *mx_out, int64_t *empty_out)
 {
     const int64_t n = c->n;
     const uint32_t un = (uint32_t)n;
@@ -210,14 +213,23 @@ static inline void csr_all_departures(const ensemble_ctx *c, int32_t *row,
     }
 }
 
-/* CSR arrivals: add scratch into row (restoring scratch to zero) and
- * measure the new configuration. */
-static inline void csr_arrivals(int32_t *row, int32_t *scratch, int64_t n,
-                                int32_t *mx_out, int64_t *empty_out)
+/* DEST_CSR_ONE and DEST_CSR_ALL: one round of row, departures landing
+ * in scratch, then the arrivals added back (restoring scratch to zero)
+ * while measuring the new configuration, as clique_round does.  The lane
+ * buffer starts empty every round. */
+ROUND_FN csr_round(const ensemble_ctx *c, int32_t *row, rng_t *g,
+                   int32_t *scratch, int32_t *sources, int32_t *mx_out,
+                   int64_t *empty_out)
 {
+    lanes_t L = {g, 0, 0};
+    if (c->rule == DEST_CSR_ONE)
+        csr_one_departures(c, row, &L, scratch, sources);
+    else
+        csr_all_departures(c, row, &L, scratch);
+
     int32_t mx = 0;
     int64_t empty = 0;
-    for (int64_t i = 0; i < n; i++) {
+    for (int64_t i = 0; i < c->n; i++) {
         const int32_t l = row[i] + scratch[i];
         row[i] = l;
         scratch[i] = 0;
@@ -246,16 +258,10 @@ static void ensemble_replica(void *vctx, int64_t r, int tid)
             break;
         int32_t mx;
         int64_t empty;
-        if (c->rule == DEST_CLIQUE) {
+        if (c->rule == DEST_CLIQUE)
             clique_round(c, row, g, &mx, &empty);
-        } else {
-            lanes_t L = {g, 0, 0};
-            if (c->rule == DEST_CSR_ONE)
-                csr_one_departures(c, row, &L, scratch, sources);
-            else
-                csr_all_departures(c, row, &L, scratch);
-            csr_arrivals(row, scratch, n, &mx, &empty);
-        }
+        else
+            csr_round(c, row, g, scratch, sources, &mx, &empty);
 
         c->rounds_done[r]++;
         if (mx > c->max_seen[r])
@@ -356,7 +362,6 @@ REPRO_ABI void ensemble_run(
     const uint32_t un = (uint32_t)n;
     ensemble_ctx c;
     c.loads = loads;
-    c.R = R;
     c.n = n;
     c.rounds = rounds;
     c.rng_state = rng_state;
