@@ -60,10 +60,10 @@
 /* Destination rules (mirrored by repro.core.native.DEST_*). */
 enum { DEST_CLIQUE = 0, DEST_CSR_ONE = 1, DEST_CSR_ALL = 2 };
 
-/* The per-round rule functions stay out of line.  Inlined into the
- * driver, the clique rule's arrival loop competes for registers with the
- * driver's live values and ran 5-15% slower than as its own function. */
-#define ROUND_FN static __attribute__((noinline)) void
+/* The per-round rule functions (clique_round, csr_round) are noinline.
+ * Inlined into the driver, the clique rule's arrival loop competes for
+ * registers with the driver's live values and ran 5-15% slower than as
+ * its own function. */
 
 typedef struct {
     int32_t *loads;
@@ -90,8 +90,9 @@ typedef struct {
 
 /* DEST_CLIQUE: one round of row; leaves the post-round max load in
  * *mx_out and the empty-bin count in *empty_out. */
-ROUND_FN clique_round(const ensemble_ctx *c, int32_t *row, rng_t *g,
-                      int32_t *mx_out, int64_t *empty_out)
+static __attribute__((noinline)) void
+clique_round(const ensemble_ctx *c, int32_t *row, rng_t *g, int32_t *mx_out,
+             int64_t *empty_out)
 {
     const int64_t n = c->n;
     const uint32_t un = (uint32_t)n;
@@ -217,9 +218,9 @@ static inline void csr_all_departures(const ensemble_ctx *c, int32_t *row,
  * in scratch, then the arrivals added back (restoring scratch to zero)
  * while measuring the new configuration, as clique_round does.  The lane
  * buffer starts empty every round. */
-ROUND_FN csr_round(const ensemble_ctx *c, int32_t *row, rng_t *g,
-                   int32_t *scratch, int32_t *sources, int32_t *mx_out,
-                   int64_t *empty_out)
+static __attribute__((noinline)) void
+csr_round(const ensemble_ctx *c, int32_t *row, rng_t *g, int32_t *scratch,
+          int32_t *sources, int32_t *mx_out, int64_t *empty_out)
 {
     lanes_t L = {g, 0, 0};
     if (c->rule == DEST_CSR_ONE)
