@@ -1,9 +1,15 @@
 """Record benchmark runs into a committed, append-only JSON ledger.
 
 ``BENCH_batched.json`` is the repo's performance record: every entry is
-one full run of :mod:`benchmarks.bench_batched` on a described host, so a
-future change can be judged against numbers that are *in the tree* rather
-than against folklore.  Compare entries with ``benchmarks/compare.py``.
+:mod:`benchmarks.bench_batched` run on a described host, so a future
+change can be judged against numbers that are *in the tree* rather than
+against folklore.  Compare entries with ``benchmarks/compare.py``.
+
+Each case is timed ``RUNS`` times and the entry keeps its median run.
+The runs are interleaved (the whole benchmark once, then again), so a
+slow stretch of a shared host lands on one run of every case rather than
+on every run of one case.  A single timed run let cases whose code did
+not change swing by -7% to +68% between entries.
 
 Usage::
 
@@ -39,6 +45,8 @@ from repro.core.native import (  # noqa: E402
 
 SCHEMA_VERSION = 1
 DEFAULT_LEDGER = Path(__file__).resolve().parent / "BENCH_batched.json"
+#: Timed runs per case; the ledger keeps the median one.
+RUNS = 3
 
 
 def _git_commit() -> str:
@@ -67,13 +75,30 @@ def load_ledger(path: Path) -> dict:
     return {"schema": SCHEMA_VERSION, "entries": []}
 
 
+def median_cases(runs: list) -> dict:
+    """Per case, the run with the median wall clock.
+
+    Each case keeps one whole run (its seconds, throughput and speedup
+    stay consistent with each other); with an even number of runs the
+    slower of the two middle ones is kept.
+    """
+    return {
+        name: sorted((run[name] for run in runs), key=lambda c: c["seconds"])[
+            len(runs) // 2
+        ]
+        for name in runs[0]
+    }
+
+
 def record(scale, out: Path) -> dict:
-    """Run the benchmark at ``scale`` and append the entry to ``out``."""
-    cases = measure(scale)
+    """Run the benchmark ``RUNS`` times at ``scale`` and append the entry
+    (each case's median run) to ``out``."""
+    cases = median_cases([measure(scale) for _ in range(RUNS)])
     entry = {
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "git": _git_commit(),
         "scale": scale.name,
+        "runs_per_case": RUNS,
         "host": {
             "cores": available_cpu_count(),
             "kernel": native_status(),

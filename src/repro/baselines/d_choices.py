@@ -12,11 +12,13 @@ process already achieves ``O(log n)``.
 Two implementations cover the two workload shapes: :class:`DChoicesProcess`
 simulates one replica with per-ball sequential placements, and
 :class:`BatchedDChoices` simulates ``R`` replicas as one ``(R, n)`` load
-matrix — placements stay sequential *within* each replica (that is the
-Greedy[d] semantics) but the ``k``-th placement of every replica happens in
-one vectorized operation, so the Python-level loop count drops from
-``sum_r h_r`` to ``max_r h_r`` per round.  With ``R == 1`` and the same
-seed the batched process is stream-compatible with the sequential one.
+matrix.  Placements stay sequential *within* each replica (that is the
+Greedy[d] semantics), but the ``k``-th placement of every replica is one
+vectorized step, and all of a round's candidate bins come from one
+generator call (see :func:`_greedy_place`).  A round costs ``max_r h_r``
+steps of five small numpy operations each, instead of ``sum_r h_r`` Python
+iterations.  With ``R == 1`` and the same seed the batched process is
+stream-compatible with the sequential one.
 """
 
 from __future__ import annotations
@@ -42,6 +44,63 @@ __all__ = [
     "DChoicesResult",
     "theoretical_d_choices_max_load",
 ]
+
+#: Most placements whose candidates one generator call draws.  A round
+#: (or a one-shot run) with more placements draws in several calls,
+#: split at step boundaries; that bounds the ``(placements, d)`` draw's
+#: memory at large ``R * n`` without changing the stream.
+_DRAW_PLACEMENTS = 1 << 20
+
+
+def _greedy_place(
+    rng: np.random.Generator,
+    flat_loads: np.ndarray,
+    counts: np.ndarray,
+    n_bins: int,
+    d: int,
+) -> None:
+    """Place ``counts[r]`` balls into row ``r`` of a flattened ``(R, n)`` load
+    matrix, each into the least loaded of ``d`` uniform candidates in its row.
+
+    Placements are sequential within a row: step ``k`` places the ``k``-th
+    ball of every row with ``counts[r] > k``, in row order, with candidates
+    ``rng.integers(0, n_bins, size=(s_k, d))`` and ties going to the first
+    minimum, exactly as :meth:`DChoicesProcess.step` does at ``R == 1``.
+    Consecutive draws concatenate to one draw with the same values and the
+    same final generator state, so a run of steps draws once, the rows'
+    offsets turn the draw into flat bin ids in place, and step ``k`` is the
+    prefix-sum slice ``ends[k-1]:ends[k]`` of it.  The ids of one step lie
+    in distinct rows, so its scatter ``flat_loads[best] += 1`` is safe.
+    """
+    row_base = np.arange(counts.size, dtype=np.int64) * n_bins
+    placing = counts > np.arange(int(counts.max()))[:, None]
+    sizes = np.count_nonzero(placing, axis=1)
+    ends = np.cumsum(sizes)
+    first = 0
+    while first < sizes.size:
+        # steps first..last-1 share one draw of at most _DRAW_PLACEMENTS
+        # placements (a single step may exceed it)
+        start = int(ends[first] - sizes[first])
+        last = max(
+            int(np.searchsorted(ends, start + _DRAW_PLACEMENTS, side="right")),
+            first + 1,
+        )
+        block = placing[first:last]
+        ids = rng.integers(0, n_bins, size=(int(ends[last - 1]) - start, d))
+        ids += np.broadcast_to(row_base, block.shape)[block][:, None]
+        row_starts = np.arange(0, int(sizes[first]) * d, d)
+        lo = 0
+        for size in sizes[first:last].tolist():
+            step = ids[lo:lo + size]
+            candidates = flat_loads[step]
+            if d == 2:
+                # the first minimum without argmin's per-row loop
+                pick = candidates[:, 1] < candidates[:, 0]
+            else:
+                pick = candidates.argmin(axis=1)
+            flat_loads[step.reshape(-1)[row_starts[:size] + pick]] += 1
+            lo += size
+        first = last
 
 
 def one_shot_d_choices_max_load(
@@ -77,8 +136,8 @@ def batched_one_shot_d_choices_max_load(
     """Per-replica maximum loads of ``R`` independent one-shot greedy[d] runs.
 
     The ``b``-th placement of every replica happens in one vectorized
-    operation (the placements within a replica remain sequential, as the
-    allocator requires).  With ``R == 1`` and the same seed the result
+    step of :func:`_greedy_place` (the placements within a replica remain
+    sequential, as the allocator requires).  With ``R == 1`` and the same seed the result
     matches :func:`one_shot_d_choices_max_load` exactly.
     """
     if n_bins < 1:
@@ -100,14 +159,9 @@ def batched_one_shot_d_choices_max_load(
         counts = np.full(R, m, dtype=np.int64)
         arrivals = one_choice_arrivals(rng, row_base, counts, R, n_bins)
         return arrivals.max(axis=1).astype(np.int64)
-    loads = np.zeros((R, n_bins), dtype=np.int64)
-    rows = np.arange(R)
-    for _ in range(m):
-        choices = rng.integers(0, n_bins, size=(R, d))
-        candidates = np.take_along_axis(loads, choices, axis=1)
-        best = choices[rows, np.argmin(candidates, axis=1)]
-        loads[rows, best] += 1
-    return loads.max(axis=1)
+    loads = np.zeros(R * n_bins, dtype=np.int64)
+    _greedy_place(rng, loads, np.full(R, m), n_bins, d)
+    return loads.reshape(R, n_bins).max(axis=1)
 
 
 def theoretical_d_choices_max_load(n_bins: int, d: int = 2) -> float:
@@ -262,9 +316,11 @@ class BatchedDChoices(BatchedLoadProcess):
     Each round extracts one ball from every non-empty bin of every replica
     and replaces the extracted balls sequentially *within* each replica,
     each into the least loaded of ``d`` uniformly random candidate bins.
-    The ``k``-th placement of all replicas is performed as one vectorized
-    operation, so a round costs ``max_r h_r`` small array operations instead
-    of ``sum_r h_r`` Python iterations (``h_r`` = non-empty bins of replica
+    The round's candidates come from one generator call as flat bin ids,
+    and the ``k``-th placement of all replicas is one vectorized step over
+    a slice of them (:func:`_greedy_place`), so a round costs one draw plus
+    ``max_r h_r`` steps of five small numpy operations each, instead of
+    ``sum_r h_r`` Python iterations (``h_r`` = non-empty bins of replica
     ``r``).
 
     With ``d == 1`` the allocator degenerates to the plain repeated
@@ -298,7 +354,6 @@ class BatchedDChoices(BatchedLoadProcess):
             n_bins, n_replicas, n_balls=n_balls, initial=initial, seed=seed
         )
         self._d = int(d)
-        self._rows = np.arange(n_replicas)
 
     @property
     def d(self) -> int:
@@ -320,10 +375,5 @@ class BatchedDChoices(BatchedLoadProcess):
                 self._rng, self._row_base, counts, self._n_replicas, n
             )
             return
-        max_h = int(counts.max())
-        for k in range(max_h):
-            placing = self._rows[counts > k]
-            choices = self._rng.integers(0, n, size=(placing.size, self._d))
-            candidates = loads[placing[:, None], choices]
-            best = choices[np.arange(placing.size), np.argmin(candidates, axis=1)]
-            loads[placing, best] += 1
+        # the (R, n) state is C-contiguous, so the flat view writes through
+        _greedy_place(self._rng, loads.reshape(-1), counts, n, self._d)

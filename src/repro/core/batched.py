@@ -528,7 +528,8 @@ class BatchedLoadProcess:
                     raise ConfigurationError("initial loads must be integer-valued")
             if np.any(arr < 0):
                 raise ConfigurationError("initial loads must be non-negative")
-            return np.array(arr, dtype=np.int64, copy=True)
+            # C order: subclasses may work on the flat row-major view
+            return np.array(arr, dtype=np.int64, order="C", copy=True)
         raise ConfigurationError(
             f"initial must be 1-D or 2-D, got ndim={arr.ndim}"
         )

@@ -10,9 +10,12 @@ match quantile for quantile.  On top of that sit conservation checks at
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.baselines import d_choices
 from repro.baselines.d_choices import (
     BatchedDChoices,
     DChoicesProcess,
@@ -25,6 +28,7 @@ from repro.core.batched import (
     make_ensemble_initial,
 )
 from repro.errors import ConfigurationError
+from repro.metrics import build_trackers
 from repro.parallel.ensemble import EnsembleSpec, run_ensemble
 
 SEED_GRID = list(range(24))
@@ -103,6 +107,15 @@ class TestBatchedDChoices:
         frozen = batched.loads.copy()
         batched.run(10)
         assert np.array_equal(batched.loads, frozen)
+
+    def test_fortran_ordered_initial(self):
+        """The placement loop's flat view needs a C-ordered state."""
+        initial = make_ensemble_initial("random_uniform", 19, 6, n_balls=50, seed=8)
+        runs = [
+            BatchedDChoices(19, 6, d=2, initial=matrix, seed=9).run(15).final_loads
+            for matrix in (initial, np.asfortranarray(initial))
+        ]
+        assert np.array_equal(runs[0], runs[1])
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -223,3 +236,111 @@ class TestEnsembleRouting:
         )
         result = run_ensemble(spec, seed=4, engine="batched", n_workers=2)
         assert result.n_replicas == 9
+
+
+# ----------------------------------------------------------------------
+# Golden digests: Greedy[d] outputs pinned bit-for-bit
+# ----------------------------------------------------------------------
+GOLDEN_METRICS = "max_load,empty_bins,legitimacy,moments,histogram"
+
+
+def _digest(arrays) -> str:
+    """sha256 over labelled arrays (floats rounded, integers exact)."""
+    digest = hashlib.sha256()
+    for label, arr in arrays:
+        arr = np.asarray(arr)
+        if arr.dtype.kind == "f":
+            arr = np.round(arr.astype(np.float64), 9)
+        else:
+            arr = arr.astype(np.int64)
+        digest.update(f"{label}:{arr.shape}".encode())
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()
+
+
+def _repeated(n, R, d, rounds, initial=None, observe_every=None, **run_kwargs):
+    """Digest of a BatchedDChoices window, its final loads and metric payloads."""
+    if isinstance(initial, str):
+        initial = make_ensemble_initial(initial, n, R, n_balls=2 * n, seed=7)
+    process = BatchedDChoices(n, R, d=d, initial=initial, seed=13)
+    trackers = build_trackers(GOLDEN_METRICS) if observe_every else []
+    result = process.run(
+        rounds,
+        observers=[tracker for _, tracker in trackers] or None,
+        observe_every=observe_every or 1,
+        **run_kwargs,
+    )
+    assert result.kernel == "numpy"
+    arrays = [
+        ("rounds", result.rounds),
+        ("final_loads", result.final_loads),
+        ("max_load_seen", result.max_load_seen),
+        ("min_empty_bins_seen", result.min_empty_bins_seen),
+        ("first_legitimate_round", result.first_legitimate_round),
+        ("rng", process.rng.integers(0, 2**62, size=4)),
+    ]
+    for name, tracker in trackers:
+        payload = tracker.payload()
+        arrays.append((f"{name}.rounds", payload.rounds))
+        for part in ("series", "summaries", "arrays"):
+            block = getattr(payload, part)
+            arrays.extend(
+                (f"{name}.{part}.{key}", block[key]) for key in sorted(block)
+            )
+    return _digest(arrays)
+
+
+def _one_shot(n, R, d, n_balls=None):
+    return _digest(
+        [("max_loads", batched_one_shot_d_choices_max_load(
+            n, R, d=d, n_balls=n_balls, seed=21
+        ))]
+    )
+
+
+#: name -> zero-argument callable returning that case's digest.  The
+#: sizes are deliberately not powers of two and every case has R > 1.
+GOLDEN_CASES = {
+    "balanced-d2": lambda: _repeated(37, 9, 2, 40, observe_every=3),
+    "balanced-d3": lambda: _repeated(37, 9, 3, 40, observe_every=3),
+    "balanced-d4": lambda: _repeated(29, 5, 4, 25),
+    "heterogeneous-d2": lambda: _repeated(
+        45, 7, 2, 30, initial="random_uniform", observe_every=4
+    ),
+    "all-in-one-d3": lambda: _repeated(
+        41, 6, 3, 35, initial="all_in_one", observe_every=5
+    ),
+    # replicas legitimate at different rounds freeze while the rest run on
+    "stop-frozen-d2": lambda: _repeated(
+        33, 11, 2, 400, initial="all_in_one", stop_when_legitimate=True
+    ),
+    "one-shot-d2": lambda: _one_shot(53, 12, 2),
+    "one-shot-d3-m": lambda: _one_shot(31, 8, 3, n_balls=70),
+}
+
+#: Digests of the outputs above.  A change to Greedy[d]'s generator
+#: consumption, tie rule or placement order changes them; a rewrite of
+#: the placement loop must not.
+GOLDEN_DIGESTS = {
+    "all-in-one-d3": "9a2806de2b18b40953be64d457cc377d39eb43d94b3927fa99ccacd5f9b3e6d3",
+    "balanced-d2": "0a2ff3d5241aa21f3e38f5bc163d760542032090cdb09ade144174fb127e0fc7",
+    "balanced-d3": "0fe7bf7b9c4c466450d19938cd5f09eb520ba023c57124338fb186658c8aa968",
+    "balanced-d4": "687794d17e620a6b794d079eddcc3421521a9fb56fba08c6f542dac18edad3de",
+    "heterogeneous-d2": "b95960df48d2cc9c955b1725aff822342d95a3e6b45a1bec9f0541113551bb6f",
+    "one-shot-d2": "11a0f6db5889c7619eaf688a4b9d2715172d84e6eb7d6167077a272af11ed5d2",
+    "one-shot-d3-m": "2e87e2a783359f9dfc8720933ba2bc3cadd6086f8c9b74d34d6fffc23650c904",
+    "stop-frozen-d2": "a6fe94a75bfc133fb593e009b134c9f90b354e4caea787ad052880a72d62e5c5",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_golden_digests(case):
+    assert GOLDEN_CASES[case]() == GOLDEN_DIGESTS[case]
+
+
+@pytest.mark.parametrize("cap", (1, 40))
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_golden_digests_with_tiny_draw_chunks(case, cap, monkeypatch):
+    """Splitting a round's draw at any step boundary changes nothing."""
+    monkeypatch.setattr(d_choices, "_DRAW_PLACEMENTS", cap)
+    assert GOLDEN_CASES[case]() == GOLDEN_DIGESTS[case]
