@@ -73,8 +73,8 @@ def _greedy_place(
     in distinct rows, so its scatter ``flat_loads[best] += 1`` is safe.
     """
     row_base = np.arange(counts.size, dtype=np.int64) * n_bins
-    placing = counts > np.arange(int(counts.max()))[:, None]
-    sizes = np.count_nonzero(placing, axis=1)
+    # sizes[k] = rows with counts > k: a suffix sum of the count histogram
+    sizes = np.cumsum(np.bincount(counts)[::-1])[::-1][1:]
     ends = np.cumsum(sizes)
     first = 0
     while first < sizes.size:
@@ -85,7 +85,7 @@ def _greedy_place(
             int(np.searchsorted(ends, start + _DRAW_PLACEMENTS, side="right")),
             first + 1,
         )
-        block = placing[first:last]
+        block = counts > np.arange(first, last)[:, None]
         ids = rng.integers(0, n_bins, size=(int(ends[last - 1]) - start, d))
         ids += np.broadcast_to(row_base, block.shape)[block][:, None]
         row_starts = np.arange(0, int(sizes[first]) * d, d)
