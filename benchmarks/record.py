@@ -8,8 +8,7 @@ against folklore.  Compare entries with ``benchmarks/compare.py``.
 Each case is timed ``RUNS`` times and the entry keeps its median run.
 The runs are interleaved (the whole benchmark once, then again), so a
 slow stretch of a shared host lands on one run of every case rather than
-on every run of one case.  A single timed run let cases whose code did
-not change swing by -7% to +68% between entries.
+on every run of one case.
 
 Usage::
 

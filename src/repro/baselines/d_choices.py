@@ -137,8 +137,8 @@ def batched_one_shot_d_choices_max_load(
 
     The ``b``-th placement of every replica happens in one vectorized
     step of :func:`_greedy_place` (the placements within a replica remain
-    sequential, as the allocator requires).  With ``R == 1`` and the same seed the result
-    matches :func:`one_shot_d_choices_max_load` exactly.
+    sequential, as the allocator requires).  With ``R == 1`` and the same
+    seed the result matches :func:`one_shot_d_choices_max_load` exactly.
     """
     if n_bins < 1:
         raise ConfigurationError(f"n_bins must be >= 1, got {n_bins}")

@@ -5,7 +5,8 @@ and the same seed, :class:`BatchedDChoices` must reproduce
 :class:`DChoicesProcess` step for step (identical generator consumption),
 and in particular the max-load distribution over a fixed seed grid must
 match quantile for quantile.  On top of that sit conservation checks at
-``R > 1``, protocol conformance, and the ensemble-engine routing.
+``R > 1``, protocol conformance, and the ensemble-engine routing, and
+golden sha256 digests that pin the ``R > 1`` outputs bit for bit.
 """
 
 from __future__ import annotations
